@@ -3,7 +3,7 @@
 These are genuine wall-clock measurements (the same Python work the real
 Mimose does on its critical path), so pytest-benchmark's statistics are
 meaningful here: estimator fit, per-size prediction, Algorithm 1
-scheduling, and cache lookup.
+scheduling, cache lookup, and tracing the model for new input shapes.
 """
 
 import numpy as np
@@ -18,8 +18,11 @@ from repro.solvers import (
     SolverInput,
 )
 from repro.engine.stats import UnitMeasurement
+from repro.models.base import BatchInput
+from repro.models.registry import build_model
 from repro.planners.base import CheckpointPlan
 from repro.tensorsim.allocator import CachingAllocator
+from repro.tensorsim.dtypes import INT64
 
 MB = 1 << 20
 GB = 1 << 30
@@ -146,3 +149,21 @@ def bench_end_to_end_plan_generation(benchmark):
 
     plan = benchmark(make_plan)
     assert plan
+
+
+def bench_profile_new_shapes(benchmark):
+    """Profiling 16 unseen QA-Bert shapes on a fresh bert-base.
+
+    Each new shape traces the embeddings, one encoder for all twelve
+    twin encoders, and the head: exactly 3 unit traces, not 14.
+    """
+    shapes = [BatchInput((12, 128 + 8 * i), INT64) for i in range(16)]
+
+    def profile_new_shapes():
+        model = build_model("bert-base")
+        for batch in shapes:
+            model.profiles(batch)
+        return model
+
+    model = benchmark(profile_new_shapes)
+    assert model.unit_traces == 3 * len(shapes)

@@ -12,6 +12,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.experiments.report import render_table
@@ -98,6 +99,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.budget_gb) and args.budget_gb > 0):
+        raise SystemExit(
+            f"error: --budget-gb must be a positive number, "
+            f"not {args.budget_gb}"
+        )
     task = load_task(
         args.task,
         iterations=args.iterations,
@@ -105,6 +111,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         drift_scenario=args.drift_scenario,
     )
     budget = int(args.budget_gb * GB)
+    static = task.fresh_model().static_memory().total
+    if budget < static:
+        raise SystemExit(
+            f"error: --budget-gb {args.budget_gb} is below the static "
+            f"footprint of {task.spec.model} ({static / GB:.2f} GB)"
+        )
     faults = _parse_faults(args)
     if args.static_fit and args.planner != "mimose":
         raise SystemExit(

@@ -112,8 +112,7 @@ class PlanCache:
         return self.hits / total if total else 0.0
 
     def clear(self) -> None:
+        """Drop every plan; ``hits``/``misses`` keep counting the run."""
         self._plans.clear()
         self._sizes.clear()
         self._canon.clear()
-        self.hits = 0
-        self.misses = 0

@@ -703,11 +703,6 @@ class CompiledCache:
             OrderedDict()
         )
         self._rejected: set[CompiledKey] = set()
-        # Unit profiles are a pure function of the batch shape (the model
-        # is fixed per executor), but re-tracing them dominates template
-        # evaluation; memoised here so every template shares one trace per
-        # shape.  Independent of allocator state: survives invalidate().
-        self._profile_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self.hits = 0
         self.misses = 0
         #: eligible iterations not consulted (timeline recording active)
@@ -737,18 +732,6 @@ class CompiledCache:
         self._rejected.clear()
         self.invalidations += 1
 
-    def _profiles(self, executor: "TrainingExecutor", batch: "BatchInput"):
-        key = (batch.shape, batch.dtype)
-        cached = self._profile_cache.get(key)
-        if cached is not None:
-            self._profile_cache.move_to_end(key)
-            return cached
-        profiles = executor.model.profiles(batch)
-        self._profile_cache[key] = profiles
-        if len(self._profile_cache) > 4 * self.max_entries:
-            self._profile_cache.popitem(last=False)
-        return profiles
-
     def serve(
         self,
         executor: "TrainingExecutor",
@@ -768,7 +751,7 @@ class CompiledCache:
             return None
         result = template.evaluate(
             executor, batch, decision, iteration,
-            self._profiles(executor, batch),
+            executor.model.profiles(batch),
         )
         if isinstance(result, tuple):
             self._templates.move_to_end(key)
@@ -799,7 +782,7 @@ class CompiledCache:
         try:
             template = _certify(
                 executor, batch, decision, replay_key, record,
-                self._profiles(executor, batch),
+                executor.model.profiles(batch),
             )
         except _Reject:
             self._rejected.add(key)

@@ -38,14 +38,14 @@ from repro.engine.strategies import (
     strategy_for,
 )
 from repro.engine.trace import MemoryTimeline
-from repro.graph.module import ModuleProfile
+from repro.graph.module import ModuleProfile, OpCost
 from repro.models.base import BatchInput, SegmentedModel
 from repro.planners.base import PlanDecision, Planner
 from repro.tensorsim.allocator import Block, CachingAllocator, OutOfMemoryError
 from repro.tensorsim.clock import SimClock
 from repro.tensorsim.device import DeviceModel
 from repro.tensorsim.faults import FaultInjector, FaultPlan
-from repro.tensorsim.tensor import SimTensor, TensorSpec
+from repro.tensorsim.tensor import SimTensor
 
 
 class IterationOOM(RuntimeError):
@@ -136,7 +136,9 @@ class TrainingExecutor:
         self._sig_cache: Optional[tuple] = None
         self._sig_version: Optional[tuple] = None
         self._iteration = 0
-        self._time_cache: dict[tuple[str, TensorSpec], tuple[float, float]] = {}
+        self._time_cache: dict[
+            int, tuple[tuple[OpCost, ...], tuple[float, float]]
+        ] = {}
         self._static_blocks = self._allocate_static()
         self.swap = SwapEngine()
         # The event bus and the engine's own subscribers.  Subscription
@@ -181,17 +183,23 @@ class TrainingExecutor:
         return sum(b.size for b in self._static_blocks)
 
     def unit_times(self, profile: ModuleProfile) -> tuple[float, float]:
-        """(forward, backward) seconds for one unit profile (cached)."""
-        key = (profile.module_name, profile.input)
-        cached = self._time_cache.get(key)
+        """(forward, backward) seconds for one unit profile (cached).
+
+        Keyed by the identity of the profile's ``op_costs`` tuple, which
+        twin units share (see :meth:`SegmentedModel.profiles`), so a
+        repeated block's kernel times are computed once per input spec.
+        The entry holds the tuple, so its id cannot be reused.
+        """
+        costs = profile.op_costs
+        cached = self._time_cache.get(id(costs))
         if cached is not None:
-            return cached
+            return cached[1]
         fwd = 0.0
         bwd = 0.0
-        for c in profile.op_costs:
+        for c in costs:
             fwd += self.device.kernel_time(c.flops, c.bytes_moved)
             bwd += self.device.kernel_time(c.bwd_flops, c.bwd_bytes)
-        self._time_cache[key] = (fwd, bwd)
+        self._time_cache[id(costs)] = (costs, (fwd, bwd))
         return fwd, bwd
 
     def _optimizer_time(self) -> float:

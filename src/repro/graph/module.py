@@ -8,16 +8,24 @@ tensors and accumulates compute costs.  Profiling a module for a given input
 spec yields a :class:`ModuleProfile` — the unit of information all planners
 in this reproduction consume.
 
-Profiles are cached per ``(module, input spec)``: model shapes are
-deterministic, so re-profiling for a repeated input size would be wasted
-work (this mirrors the paper's plan cache observation that equal input
-sizes imply equal memory behaviour).
+:meth:`Module.profile` traces every time it is called.  The cache is the
+model's: :meth:`repro.models.base.SegmentedModel.profiles` memoises the
+whole chain per batch shape and traces each *distinct* unit once per
+input spec.  Units of one class that declare the same ``twin_key`` are
+twins, and a twin's profile is the traced one renamed
+(:meth:`ModuleProfile.renamed`), sharing its tensor specs and op costs.
+
+The twin-key contract: a module's ``forward`` may depend on nothing but
+its input spec, its name and its ``twin_key`` — a hashable value (a
+frozen config, a tuple of sizes) given to the constructor.  Submodule
+names must not derive from the module's own name.  A module without a
+key (``None``) has no twins and is always traced itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Hashable, Iterable, Sequence
 
 from repro.graph.ops import Op, OpProfile
 from repro.tensorsim.tensor import TensorSpec
@@ -86,6 +94,22 @@ class ModuleProfile:
 
     def saved_activations(self) -> tuple[ActivationRecord, ...]:
         return tuple(a for a in self.activations if a.saved)
+
+    def renamed(self, name: str) -> "ModuleProfile":
+        """This profile as a twin module called ``name`` would trace it.
+
+        Record names are re-prefixed (``encoder.0/attn/qk`` becomes
+        ``encoder.7/attn/qk``); specs and op costs are shared.
+        """
+        cut = len(self.module_name)
+        return replace(
+            self,
+            module_name=name,
+            activations=tuple(
+                ActivationRecord(name + a.name[cut:], a.spec, a.saved, a.op_kind)
+                for a in self.activations
+            ),
+        )
 
 
 class ProfileContext:
@@ -170,34 +194,34 @@ class Module:
     Subclasses implement :meth:`forward` against a :class:`ProfileContext`.
     ``checkpointable`` marks the module as a unit the planners may drop and
     recompute — the paper's "block"/"stage" granularity (encoder blocks,
-    residual stages).
+    residual stages).  ``twin_key`` is the one hashable value ``forward``
+    depends on besides the input spec and the name (see the module
+    docstring); ``None`` means the module has no twins.
     """
 
-    def __init__(self, name: str, *, checkpointable: bool = False) -> None:
+    def __init__(
+        self,
+        name: str,
+        *,
+        checkpointable: bool = False,
+        twin_key: Hashable = None,
+    ) -> None:
         if not name:
             raise ValueError("modules must be named")
         self.name = name
         self.checkpointable = checkpointable
-        self._profile_cache: dict[TensorSpec, ModuleProfile] = {}
+        self.twin_key = twin_key
 
     def forward(self, ctx: ProfileContext, x: TensorSpec) -> TensorSpec:
         raise NotImplementedError
 
     def profile(self, x: TensorSpec) -> ModuleProfile:
-        """Profile this module for input spec ``x`` (cached)."""
-        cached = self._profile_cache.get(x)
-        if cached is not None:
-            return cached
+        """Trace ``forward`` for input spec ``x`` (not cached)."""
         ctx = ProfileContext()
         ctx._scope.append(self.name)
         out = self.forward(ctx, x)
         ctx._scope.pop()
-        profile = ctx.finish(self.name, x, out)
-        self._profile_cache[x] = profile
-        return profile
-
-    def clear_profile_cache(self) -> None:
-        self._profile_cache.clear()
+        return ctx.finish(self.name, x, out)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

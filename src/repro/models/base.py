@@ -96,18 +96,41 @@ class SegmentedModel:
         self.probe_shape = probe_shape
         self.amp = amp
         self._param_count: int | None = None
+        self._chains: dict[BatchInput, tuple[ModuleProfile, ...]] = {}
+        #: unit traces run so far; a twin's profile costs none
+        self.unit_traces = 0
 
     # ------------------------------------------------------------ profiling
 
-    def profiles(self, batch: BatchInput) -> list[ModuleProfile]:
-        """Profile the full chain for one batch shape (unit caches apply)."""
-        x = batch.spec
+    def profiles(self, batch: BatchInput) -> tuple[ModuleProfile, ...]:
+        """The chain's unit profiles for one batch shape (memoised).
+
+        The model's one profile cache.  A new shape traces each distinct
+        unit once: a unit whose class and ``twin_key`` match an already
+        traced unit with the same input spec gets that trace renamed
+        (see :mod:`repro.graph.module` for the key contract).
+        """
+        chain = self._chains.get(batch)
+        if chain is None:
+            chain = self._chains[batch] = self._trace_chain(batch.spec)
+        return chain
+
+    def _trace_chain(self, x: TensorSpec) -> tuple[ModuleProfile, ...]:
+        traced: dict[tuple | None, ModuleProfile] = {}
         out: list[ModuleProfile] = []
         for unit in self.units:
-            p = unit.profile(x)
+            key = None if unit.twin_key is None else (type(unit), unit.twin_key, x)
+            first = traced.get(key)
+            if first is None:
+                p = unit.profile(x)
+                self.unit_traces += 1
+                if key is not None:
+                    traced[key] = p
+            else:
+                p = first.renamed(unit.name)
             out.append(p)
             x = p.output
-        return out
+        return tuple(out)
 
     def unit_names(self) -> list[str]:
         return [u.name for u in self.units]
@@ -166,8 +189,7 @@ class SegmentedModel:
         )
 
     def clear_caches(self) -> None:
-        for unit in self.units:
-            unit.clear_profile_cache()
+        self._chains.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SegmentedModel({self.name!r}, units={len(self.units)})"

@@ -151,7 +151,7 @@ class BertEncoderLayer(Module):
     """One transformer encoder block — the checkpointable unit."""
 
     def __init__(self, cfg: BertConfig, index: int) -> None:
-        super().__init__(f"encoder.{index}", checkpointable=True)
+        super().__init__(f"encoder.{index}", checkpointable=True, twin_key=cfg)
         self.attn = BertSelfAttention(cfg)
         self.ffn = BertFFN(cfg)
 

@@ -77,7 +77,7 @@ class GPT2Block(Module):
     """Pre-norm causal self-attention + MLP — a checkpointable unit."""
 
     def __init__(self, cfg: GPT2Config, index: int) -> None:
-        super().__init__(f"block.{index}", checkpointable=True)
+        super().__init__(f"block.{index}", checkpointable=True, twin_key=cfg)
         self.cfg = cfg
 
     def forward(self, ctx: ProfileContext, x: TensorSpec) -> TensorSpec:

@@ -72,7 +72,9 @@ class Bottleneck(Module):
         *,
         stride: int = 1,
     ) -> None:
-        super().__init__(name, checkpointable=True)
+        super().__init__(
+            name, checkpointable=True, twin_key=(in_channels, width, stride)
+        )
         self.in_channels = in_channels
         self.width = width
         self.out_channels = width * 4

@@ -114,7 +114,11 @@ class SwinBlock(Module):
     """One (shifted-)window transformer block — a checkpointable unit."""
 
     def __init__(self, cfg: SwinConfig, stage: int, index: int) -> None:
-        super().__init__(f"stage{stage + 1}.block{index}", checkpointable=True)
+        super().__init__(
+            f"stage{stage + 1}.block{index}",
+            checkpointable=True,
+            twin_key=(cfg, stage),
+        )
         self.cfg = cfg
         self.stage = stage
 

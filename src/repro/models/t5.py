@@ -109,7 +109,7 @@ class T5Embeddings(Module):
 
 class T5EncoderLayer(Module):
     def __init__(self, cfg: T5Config, index: int) -> None:
-        super().__init__(f"enc.{index}", checkpointable=True)
+        super().__init__(f"enc.{index}", checkpointable=True, twin_key=cfg)
         self.cfg = cfg
 
     def forward(self, ctx: ProfileContext, x: TensorSpec) -> TensorSpec:
@@ -121,7 +121,7 @@ class T5DecoderLayer(Module):
     """Self-attention + cross-attention (over the encoder memory) + FFN."""
 
     def __init__(self, cfg: T5Config, index: int) -> None:
-        super().__init__(f"dec.{index}", checkpointable=True)
+        super().__init__(f"dec.{index}", checkpointable=True, twin_key=cfg)
         self.cfg = cfg
 
     def forward(self, ctx: ProfileContext, x: TensorSpec) -> TensorSpec:

@@ -334,7 +334,7 @@ class ModelView:
         )
         self.static_memory: StaticMemory = model.static_memory()
 
-    def profiles(self, batch: BatchInput) -> list["ModuleProfile"]:
+    def profiles(self, batch: BatchInput) -> tuple["ModuleProfile", ...]:
         """Offline model analysis (static planners only)."""
         return self._model.profiles(batch)
 

@@ -70,14 +70,15 @@ def test_lru_eviction():
     assert len(c) == 2
 
 
-def test_clear_resets_everything():
+def test_clear_drops_entries_keeps_counters():
     c = PlanCache()
     c.put(100, plan("a"))
     c.get(100)
     c.clear()
     assert len(c) == 0
-    assert c.hits == 0 and c.misses == 0
+    assert c.hits == 1 and c.misses == 0
     assert c.get(100) is None
+    assert c.hits == 1 and c.misses == 1
 
 
 def test_validation():

@@ -344,6 +344,35 @@ def test_run_result_exposes_cache_effectiveness():
     assert "replay_hit_rate" in rows[0]
 
 
+def test_plan_cache_counters_survive_refits():
+    """Refits and recoveries clear the plan cache, not its counters:
+    the run's hits and misses count every lookup of the run."""
+    task = load_task(
+        "TC-Bert", iterations=1000, seed=0, drift_scenario="curriculum"
+    )
+    lookups: list[bool] = []
+
+    def count_lookups(executor):
+        cache = executor.planner.cache
+        get = cache.get
+
+        def counted(size):
+            plan = get(size)
+            lookups.append(plan is not None)
+            return plan
+
+        cache.get = counted
+
+    result = run_task(
+        task, "mimose", task.default_budgets()[1],
+        drift_detection=True, observers=[count_lookups],
+    )
+    assert result.refits > 1
+    assert result.plan_cache_hits == sum(lookups)
+    assert result.plan_cache_misses == len(lookups) - sum(lookups)
+    assert result.plan_cache_misses > 1
+
+
 def test_digest_ignores_planning_time_only():
     base = IterationStats(
         iteration=1, input_size=10, input_shape=(2, 5), mode="normal",

@@ -1,4 +1,4 @@
-"""Unit tests for the module tracer and profile caching."""
+"""Unit tests for the module tracer."""
 
 import pytest
 
@@ -21,14 +21,6 @@ def test_profile_records_activations_and_costs():
     assert p.fwd_flops > 0
     assert p.bwd_flops > p.fwd_flops  # backward costs more
     assert len(p.op_costs) == 4
-
-
-def test_profile_cache_returns_same_object():
-    unit = TinyUnit("u", 8)
-    x = TensorSpec((2, 8), FLOAT32)
-    assert unit.profile(x) is unit.profile(x)
-    unit.clear_profile_cache()
-    assert unit.profile(x) is not None
 
 
 def test_profile_differs_per_input_spec():

@@ -254,6 +254,28 @@ def test_cli_run_rejects_bad_fault_spec():
         )
 
 
+@pytest.mark.parametrize(
+    ("budget", "message"),
+    [
+        ("nan", "must be a positive number"),
+        ("-3", "must be a positive number"),
+        ("0", "must be a positive number"),
+        ("1", "below the static footprint of bert-base"),
+    ],
+)
+def test_cli_run_rejects_bad_budget(budget, message):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit, match=message) as exc:
+        main(
+            [
+                "run", "--task", "TC-Bert", "--planner", "mimose",
+                "--budget-gb", budget, "--iterations", "2",
+            ]
+        )
+    assert "\n" not in str(exc.value.code)
+
+
 def test_cli_run_rejects_negative_max_retries(capsys):
     from repro.__main__ import main
 
