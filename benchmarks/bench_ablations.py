@@ -15,13 +15,13 @@ import os
 
 from repro.core.plan_cache import PlanCache
 from repro.core.planner import MimosePlanner
-from repro.core.scheduler import GreedyScheduler, KnapsackScheduler
 from repro.engine.executor import TrainingExecutor
 from repro.engine.stats import RunResult
 from repro.experiments.report import render_table
 from repro.experiments.runner import parallel_map
 from repro.experiments.tasks import GB, load_task
 from repro.planners.base import ModelView
+from repro.solvers import GreedyScheduler, KnapsackScheduler
 
 from conftest import run_once, save_result
 

@@ -198,7 +198,7 @@ def bench_segment_memory_floor(benchmark, results_dir):
                     "segment_floor_gb": seg_floor / GB,
                     "gain_pct": 100 * (1 - seg_floor / unit_floor),
                     "best_segmentation": str(
-                        [len(s) for s in plan.segments][:10]
+                        [len(s) for s in plan.assignment.segments][:10]
                     ),
                 }
             )

@@ -1,7 +1,7 @@
 """Hybrid (swap+recompute) Mimose vs the Capuchin baseline.
 
 The action-layer refactor made Mimose's excess-covering step pluggable:
-``--scheduler hybrid`` runs the same PCIe cost rule Capuchin uses, but
+``--solver hybrid`` runs the same PCIe cost rule Capuchin uses, but
 re-priced per input size from the Lightning estimator.  The paper's
 input-dynamics argument then predicts a concrete win on a transformer
 workload over a slow host link:
@@ -22,10 +22,10 @@ Capuchin overshoots.
 
 from dataclasses import replace
 
-from repro.core.scheduler import predicted_swap_stall
 from repro.experiments.report import render_table
 from repro.experiments.runner import run_task
 from repro.experiments.tasks import GB, load_task
+from repro.solvers import predicted_swap_stall
 from repro.tensorsim.device import DeviceModel, V100
 
 from conftest import run_once, save_result

@@ -20,7 +20,7 @@ from repro.solvers import (
 from repro.engine.stats import UnitMeasurement
 from repro.models.base import BatchInput
 from repro.models.registry import build_model
-from repro.planners.base import CheckpointPlan
+from repro.planners.base import ActionAssignment, CheckpointPlan
 from repro.tensorsim.allocator import CachingAllocator
 from repro.tensorsim.dtypes import INT64
 
@@ -94,7 +94,8 @@ def bench_plan_cache_lookup(benchmark):
     """Cache hit path: microseconds (the common responsive-phase case)."""
     cache = PlanCache()
     for s in range(1_000, 65_000, 500):
-        cache.put(s, CheckpointPlan(frozenset({"enc.0"}), str(s)))
+        assignment = ActionAssignment.from_sets(recompute={"enc.0"})
+        cache.put(s, CheckpointPlan(assignment, str(s)))
     result = benchmark(cache.get, 32_000)
     assert result is not None
 

@@ -18,17 +18,17 @@ from __future__ import annotations
 import argparse
 
 from repro.core.planner import MimosePlanner
-from repro.core.scheduler import (
-    GreedyScheduler,
-    KnapsackScheduler,
-    Scheduler,
-    SchedulerInput,
-)
 from repro.engine.events import OomHit, TimeCharged
 from repro.engine.executor import TrainingExecutor
 from repro.experiments.report import render_table
 from repro.experiments.tasks import GB, load_task
 from repro.planners.base import ModelView
+from repro.solvers import (
+    GreedyScheduler,
+    KnapsackScheduler,
+    Solver,
+    SolverInput,
+)
 
 
 class SchedulerScorecard:
@@ -54,7 +54,7 @@ class SchedulerScorecard:
             self.recompute_s += event.seconds
 
 
-class LatestFirstScheduler(Scheduler):
+class LatestFirstScheduler(Solver):
     """Checkpoint the *latest* (largest-timestamp) units first.
 
     A deliberately bad policy: late units' recomputes happen at the start
@@ -64,7 +64,7 @@ class LatestFirstScheduler(Scheduler):
 
     name = "latest-first"
 
-    def schedule(self, inp: SchedulerInput) -> frozenset[str]:
+    def schedule(self, inp: SolverInput) -> frozenset[str]:
         if inp.excess_bytes <= 0:
             return frozenset()
         by_latest = sorted(inp.est_bytes, key=lambda u: -inp.order[u])

@@ -24,7 +24,12 @@ from repro.engine.events import UnitBackward, UnitForward
 from repro.engine.executor import TrainingExecutor
 from repro.models.base import BatchInput
 from repro.models.registry import build_model
-from repro.planners.base import CheckpointPlan, ModelView, PlanDecision
+from repro.planners.base import (
+    ActionAssignment,
+    CheckpointPlan,
+    ModelView,
+    PlanDecision,
+)
 from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.dtypes import INT64
 
@@ -72,14 +77,24 @@ def main() -> None:
 
     batch = BatchInput((args.batch, args.seqlen), INT64)
     plans = [
-        ("no checkpointing", CheckpointPlan.none()),
+        ("no checkpointing", CheckpointPlan(ActionAssignment(), "none")),
         (
             "checkpoint all encoders",
-            CheckpointPlan.of([f"encoder.{i}" for i in range(12)], "all"),
+            CheckpointPlan(
+                ActionAssignment.from_sets(
+                    recompute=[f"encoder.{i}" for i in range(12)]
+                ),
+                "all",
+            ),
         ),
         (
             "checkpoint first six encoders (Mimose-style partial plan)",
-            CheckpointPlan.of([f"encoder.{i}" for i in range(6)], "half"),
+            CheckpointPlan(
+                ActionAssignment.from_sets(
+                    recompute=[f"encoder.{i}" for i in range(6)]
+                ),
+                "half",
+            ),
         ),
     ]
     for title, plan in plans:

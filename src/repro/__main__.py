@@ -19,6 +19,7 @@ from repro.experiments.report import render_table
 from repro.experiments.runner import (
     PLANNER_NAMES,
     SOLVER_NAMES,
+    check_planner_options,
     run_task,
     sweep,
 )
@@ -104,6 +105,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"error: --budget-gb must be a positive number, "
             f"not {args.budget_gb}"
         )
+    try:
+        check_planner_options(
+            args.planner,
+            scheduler=args.solver,
+            bwd_ratio=args.bwd_ratio,
+            static_fit=args.static_fit,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
     task = load_task(
         args.task,
         iterations=args.iterations,
@@ -118,10 +128,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"footprint of {task.spec.model} ({static / GB:.2f} GB)"
         )
     faults = _parse_faults(args)
-    if args.static_fit and args.planner != "mimose":
-        raise SystemExit(
-            "error: --static-fit applies to --planner mimose only"
-        )
     # A drift scenario arms mimose's lifecycle monitors unless the run is
     # the frozen-fit ablation comparator.
     drift_detection = (
@@ -139,24 +145,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         counter = EventCounter()
         observers.append(lambda ex: counter.attach(ex.events))
-    scheduler = args.scheduler if args.scheduler != "greedy" else None
-    if scheduler is not None and args.planner != "mimose":
-        raise SystemExit(
-            f"error: --solver {scheduler} applies to --planner mimose "
-            f"only, not {args.planner!r}"
-        )
-    if args.bwd_ratio is not None:
-        if scheduler is None or not solver_class(scheduler).prices_actions:
-            raise SystemExit(
-                "error: --bwd-ratio applies to action-pricing solvers "
-                "only (hybrid, exact, lp)"
-            )
-        if args.bwd_ratio <= 0:
-            raise SystemExit("error: --bwd-ratio must be positive")
     # Capture the executor so the report can say which pricing branch the
     # solver's cost model actually used (observers never alter simulation).
     executor_box: list = []
-    if scheduler is not None and solver_class(scheduler).prices_actions:
+    if args.solver is not None and solver_class(args.solver).prices_actions:
         observers.append(executor_box.append)
     is_baseline_run = args.planner == "baseline" and faults is None
     baseline = run_task(
@@ -178,7 +170,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             faults=faults,
             max_retries=args.max_retries,
             observers=observers,
-            scheduler=scheduler,
+            scheduler=args.solver,
             bwd_ratio=args.bwd_ratio,
             compiled=not args.no_compiled,
             drift_detection=drift_detection,
@@ -363,15 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--budget-gb", type=float, required=True)
     run_p.add_argument(
         "--solver",
-        "--scheduler",  # pre-registry spelling, kept as an alias
-        dest="scheduler",
         choices=SOLVER_NAMES,
-        default="greedy",
+        default=None,
         help=(
             "registered solver for mimose's excess-covering step "
-            "('hybrid' mixes per-unit RECOMPUTE/SWAP via the PCIe cost "
-            "model, 'exact' is the branch-and-bound optimum, 'lp' the "
-            "relaxation-rounding sweep; mimose only)"
+            "(default 'greedy', the paper's Algorithm 1; 'hybrid' mixes "
+            "per-unit RECOMPUTE/SWAP via the PCIe cost model, 'exact' is "
+            "the branch-and-bound optimum, 'lp' the relaxation-rounding "
+            "sweep; mimose only)"
         ),
     )
     run_p.add_argument(

@@ -48,6 +48,7 @@ from repro.solvers import GreedyScheduler, Solver, SolverInput
 from repro.engine.stats import IterationStats
 from repro.models.base import BatchInput
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     ExecutionMode,
     ModelView,
@@ -180,7 +181,7 @@ class MimosePlanner(Planner):
         if self.lifecycle.needs_collection(size):
             self.collect_count += 1
             return PlanDecision(
-                CheckpointPlan(frozenset(), "mimose-collect"),
+                CheckpointPlan(ActionAssignment(), "mimose-collect"),
                 mode=ExecutionMode.COLLECT,
                 planning_time=1e-5,
             )
@@ -256,16 +257,14 @@ class MimosePlanner(Planner):
         # the plan's predicted peak matches scheduler_input's view.
         total = inp.excess_bytes + self._usable_budget()
         if inp.excess_bytes <= 0:
-            return CheckpointPlan(
-                frozenset(), "mimose", predicted_peak_bytes=total
-            )
+            return CheckpointPlan(ActionAssignment(), "mimose", total)
         assignment = self.scheduler.assign(inp)
         # The prediction travels with the plan (through the cache and into
         # the iteration stats) so residual tracking attributes every
         # observation to the plan that produced it — cache hits included.
         # Every non-KEEP unit releases its estimated bytes (recomputed
         # units immediately, swapped units once the copy engine drains).
-        return CheckpointPlan.from_assignment(
+        return CheckpointPlan(
             assignment,
             "mimose",
             predicted_peak_bytes=total - sum(est[u] for u in assignment.units),
@@ -319,7 +318,8 @@ class MimosePlanner(Planner):
             # straight from the cache and re-OOM.
             self.cache.clear()
             plan = CheckpointPlan(
-                frozenset(self._order), "mimose-recover-full"
+                ActionAssignment.from_sets(recompute=self._order),
+                "mimose-recover-full",
             )
             return PlanDecision(
                 plan,

@@ -194,13 +194,9 @@ class TrainingExecutor:
         cached = self._time_cache.get(id(costs))
         if cached is not None:
             return cached[1]
-        fwd = 0.0
-        bwd = 0.0
-        for c in costs:
-            fwd += self.device.kernel_time(c.flops, c.bytes_moved)
-            bwd += self.device.kernel_time(c.bwd_flops, c.bwd_bytes)
-        self._time_cache[id(costs)] = (costs, (fwd, bwd))
-        return fwd, bwd
+        times = self.device.unit_times(costs)
+        self._time_cache[id(costs)] = (costs, times)
+        return times
 
     def _optimizer_time(self) -> float:
         n = self.model.param_count()

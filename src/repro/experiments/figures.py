@@ -17,8 +17,8 @@ from repro.experiments.runner import run_task, sweep
 from repro.experiments.tasks import GB, load_task
 from repro.models.base import BatchInput
 from repro.models.registry import build_model
-from repro.planners.analysis import no_checkpoint_peak, predict_peak_bytes
-from repro.planners.base import CheckpointPlan, ModelView
+from repro.planners.analysis import no_checkpoint_peak
+from repro.planners.base import ActionAssignment, CheckpointPlan, ModelView
 from repro.tensorsim.dtypes import INT64
 
 
@@ -168,18 +168,13 @@ def fig9_data(
     out: dict[int, list[tuple[int, int]]] = {}
     for seqlen in seqlens:
         batch = BatchInput((batch_size, seqlen), INT64)
-        profiles = view.profiles(batch)
         series = []
         for k in range(12):
-            plan = CheckpointPlan.of([f"encoder.{k}"], f"enc{k}")
-            peak = predict_peak_bytes(
-                profiles,
-                plan,
-                static_bytes=view.static_memory.total,
-                input_nbytes=batch.nbytes,
-                checkpointable=view.checkpointable,
+            plan = CheckpointPlan(
+                ActionAssignment.from_sets(recompute=[f"encoder.{k}"]),
+                f"enc{k}",
             )
-            series.append((k, peak))
+            series.append((k, view.peak_bytes(batch, plan)))
         out[seqlen] = series
     return out
 

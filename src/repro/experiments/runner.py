@@ -31,7 +31,7 @@ from repro.planners.dtr import DTRPlanner
 from repro.planners.monet import MonetPlanner
 from repro.planners.none import NoCheckpointPlanner
 from repro.planners.sublinear import SublinearPlanner
-from repro.solvers import Solver, make_solver, solver_class, solver_names
+from repro.solvers import make_solver, solver_class, solver_names
 from repro.tensorsim.device import DeviceModel, V100
 from repro.tensorsim.faults import FaultInjector, FaultPlan
 
@@ -47,31 +47,45 @@ PLANNER_NAMES = (
 #: chen-*) and the static planner cores (sublinear, checkmate).
 SOLVER_NAMES = solver_names()
 
-#: the pre-registry subset (the original ``--scheduler`` choices), kept
-#: for callers that enumerate the paper's own scheduler family.
-SCHEDULER_NAMES = ("greedy", "knapsack", "hybrid")
 
-
-def make_scheduler(
+def check_planner_options(
     name: str,
     *,
-    device: Optional[DeviceModel] = None,
+    scheduler: Optional[str] = None,
     bwd_ratio: Optional[float] = None,
-) -> Solver:
-    """Construct a solver by name — the registry's experiment-side door.
+    drift_detection: bool = False,
+    static_fit: bool = False,
+) -> None:
+    """Reject option combinations a planner cannot honour (``ValueError``).
 
-    Kept under its pre-registry name; delegates to
-    :func:`repro.solvers.make_solver` with the experiment default device
-    so action-pricing solvers (hybrid, exact, lp) price PCIe transfers
-    on the V100 preset every run uses.  ``bwd_ratio`` forces ratio
-    pricing instead of measured backward times (``--bwd-ratio`` on the
-    CLI); it is an explicit override only — the default is measured
-    pricing with the labelled
-    :data:`~repro.solvers.PcieCostModel.DEFAULT_BWD_RATIO` fallback.
+    ``scheduler`` (``--solver``), ``drift_detection`` and ``static_fit``
+    (``--static-fit``) apply to Mimose only.  ``bwd_ratio``
+    (``--bwd-ratio``) must be positive and needs an action-pricing
+    solver (``Solver.prices_actions`` is the gate).  The CLI calls this
+    before its first run so a bad flag fails in one line.
     """
-    return make_solver(
-        name, device=device or DeviceModel(V100), bwd_ratio=bwd_ratio
-    )
+    if scheduler is not None and name != "mimose":
+        raise ValueError(
+            f"--solver applies to the mimose planner only, not {name!r}"
+        )
+    if bwd_ratio is not None:
+        if scheduler is None or not solver_class(scheduler).prices_actions:
+            raise ValueError(
+                "--bwd-ratio applies to action-pricing solvers only "
+                "(hybrid, exact, lp); pass e.g. --solver hybrid"
+            )
+        if not bwd_ratio > 0:
+            raise ValueError(f"--bwd-ratio must be positive, not {bwd_ratio}")
+    if static_fit and name != "mimose":
+        raise ValueError(
+            f"--static-fit applies to the mimose planner only, not {name!r}"
+        )
+    if drift_detection and name != "mimose":
+        raise ValueError(
+            f"drift detection applies to the mimose planner only, not {name!r}"
+        )
+    if drift_detection and static_fit:
+        raise ValueError("drift_detection and static_fit are exclusive")
 
 
 def make_planner(
@@ -97,26 +111,16 @@ def make_planner(
     ``drift_detection`` arms Mimose's lifecycle drift monitors (online
     replanning); ``static_fit`` is the ablation comparator that never
     refits — its recollect margin is infinite, so the initial fit is
-    trusted for every later input size.  Both are Mimose-only.
+    trusted for every later input size.  Both are Mimose-only.  Option
+    combinations are validated by :func:`check_planner_options`.
     """
-    if scheduler is not None and name != "mimose":
-        raise ValueError(
-            f"--solver applies to the mimose planner only, not {name!r}"
-        )
-    if bwd_ratio is not None and (
-        scheduler is None or not solver_class(scheduler).prices_actions
-    ):
-        raise ValueError(
-            "--bwd-ratio applies to action-pricing solvers only "
-            "(hybrid, exact, lp); pass e.g. --solver hybrid"
-        )
-    if (drift_detection or static_fit) and name != "mimose":
-        raise ValueError(
-            "drift_detection/static_fit apply to the mimose planner only, "
-            f"not {name!r}"
-        )
-    if drift_detection and static_fit:
-        raise ValueError("drift_detection and static_fit are exclusive")
+    check_planner_options(
+        name,
+        scheduler=scheduler,
+        bwd_ratio=bwd_ratio,
+        drift_detection=drift_detection,
+        static_fit=static_fit,
+    )
     if name == "baseline":
         return NoCheckpointPlanner(budget_bytes)
     if name == "sublinear":
@@ -140,8 +144,12 @@ def make_planner(
     if name == "mimose":
         kwargs: dict[str, object] = {}
         if scheduler is not None:
-            kwargs["scheduler"] = make_scheduler(
-                scheduler, device=device, bwd_ratio=bwd_ratio
+            # action-pricing solvers price PCIe transfers on the V100
+            # preset every run uses unless a device is given
+            kwargs["scheduler"] = make_solver(
+                scheduler,
+                device=device or DeviceModel(V100),
+                bwd_ratio=bwd_ratio,
             )
         if drift_detection:
             kwargs["drift_detection"] = True
@@ -192,7 +200,7 @@ def run_task(
     excess-covering step (``--solver`` on the CLI); ``None`` keeps the
     planner's default.  Rejected for non-Mimose planners.  ``bwd_ratio``
     forces ratio pricing in action-pricing solvers (``--bwd-ratio``);
-    rejected for coverage-only solvers.
+    rejected unless positive and for coverage-only solvers.
 
     ``compiled`` toggles the executor's compiled-template tier
     (``--no-compiled`` on the CLI disables it); results are bit-identical

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import time
 
 from repro.core.collector import ShuttlingCollector
 from repro.core.estimator import LightningMemoryEstimator

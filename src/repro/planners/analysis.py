@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.graph.module import ActivationRecord, ModuleProfile
-from repro.planners.base import CheckpointPlan
+from repro.planners.base import ActionAssignment, CheckpointPlan, MemoryAction
 
 
 def _trimmed_records(profile: ModuleProfile) -> tuple[tuple[ActivationRecord, ...], bool]:
@@ -124,7 +124,8 @@ def predict_peak_bytes(
     index_of = {p.module_name: i for i, p in enumerate(profiles)}
     seg_of: dict[int, int] = {}
     seg_members: dict[int, list[int]] = {}
-    for sid, segment in enumerate(plan.segments):
+    assignment = plan.assignment
+    for sid, segment in enumerate(assignment.segments):
         for name in segment:
             i = index_of[name]
             seg_of[i] = sid
@@ -134,7 +135,11 @@ def predict_peak_bytes(
     ckpt = [False] * n
     for i, p in enumerate(profiles):
         eligible = checkpointable is None or p.module_name in checkpointable
-        ckpt[i] = eligible and p.module_name in plan and i not in seg_of
+        ckpt[i] = (
+            eligible
+            and assignment.action_for(p.module_name) is MemoryAction.RECOMPUTE
+            and i not in seg_of
+        )
 
     saved = [unit_saved_bytes(p) for p in profiles]
     bound = [boundary_bytes(p) for p in profiles]
@@ -182,7 +187,7 @@ def no_checkpoint_peak(
     """Peak with nothing checkpointed (the baseline / memory upper bound)."""
     return predict_peak_bytes(
         profiles,
-        CheckpointPlan.none(),
+        CheckpointPlan(ActionAssignment(), "none"),
         static_bytes=static_bytes,
         input_nbytes=input_nbytes,
     )
@@ -196,7 +201,9 @@ def full_checkpoint_peak(
     checkpointable: frozenset[str],
 ) -> int:
     """Peak with every eligible unit checkpointed (the memory lower bound)."""
-    plan = CheckpointPlan.of(sorted(checkpointable), "all")
+    plan = CheckpointPlan(
+        ActionAssignment.from_sets(recompute=checkpointable), "all"
+    )
     return predict_peak_bytes(
         profiles,
         plan,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from repro.models.base import BatchInput, SegmentedModel, StaticMemory
 
@@ -57,7 +57,7 @@ class MemoryAction(enum.Enum):
 class ActionAssignment:
     """Immutable, canonical mapping of unit name → :class:`MemoryAction`.
 
-    The single source of truth a :class:`CheckpointPlan` is a view over.
+    The per-unit decisions a :class:`CheckpointPlan` carries.
     ``actions`` holds only the non-KEEP, non-SEGMENT entries as a tuple of
     ``(unit, action)`` pairs sorted by unit name — the *canonical form*,
     so two assignments describing the same per-unit decisions are equal
@@ -66,9 +66,8 @@ class ActionAssignment:
     the backward replays each group front-to-back).
 
     The constructor canonicalises: KEEP entries are dropped, duplicate
-    pairs collapse, and conflicting assignments raise ``ValueError`` with
-    the same messages the legacy three-set plan validation used.  Lookup
-    is O(1) via a private index built once at construction.
+    pairs collapse, and conflicting assignments raise ``ValueError``.
+    Lookup is O(1) via a private index built once at construction.
     """
 
     actions: tuple[tuple[str, MemoryAction], ...] = ()
@@ -134,7 +133,7 @@ class ActionAssignment:
         swap: Iterable[str] = (),
         segments: tuple[tuple[str, ...], ...] = (),
     ) -> "ActionAssignment":
-        """Build from the legacy three-structure vocabulary."""
+        """Build from unit sets: recomputed, swapped, and segment groups."""
         pairs = [(n, MemoryAction.RECOMPUTE) for n in recompute]
         pairs += [(n, MemoryAction.SWAP) for n in swap]
         return cls(tuple(pairs), segments)
@@ -172,21 +171,16 @@ class ActionAssignment:
         return not self._index
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class CheckpointPlan:
     """Per-unit memory actions for one iteration.
 
-    A thin frozen view over an :class:`ActionAssignment`: the legacy
-    ``checkpoint_units`` (dropped after forward, recomputed during
-    backward), ``swap_units`` (offloaded to host memory over PCIe, the
-    hybrid planners of Table I) and ``segments`` (Chen et al. groups of
-    consecutive units checkpointed together — interior boundaries drop
-    too, and the backward recomputes the whole segment front-to-back)
-    are all derived from the assignment, which is the canonical identity
-    the plan cache and the replay key hash on.  The legacy positional
-    constructor is preserved so hand-built plans keep working.
-
-    A unit carries at most one action (the assignment validates this).
+    ``assignment`` is the canonical identity the plan cache and the
+    replay key hash on: which units are dropped and recomputed, swapped
+    to host memory over PCIe (the hybrid planners of Table I), or
+    grouped into Chen et al. segments (interior boundaries drop too, and
+    the backward recomputes the whole segment front-to-back).  Build one
+    from unit sets with :meth:`ActionAssignment.from_sets`.
 
     ``predicted_peak_bytes`` is the peak memory the issuing planner
     predicted for this plan (None when the planner made no prediction).
@@ -197,82 +191,8 @@ class CheckpointPlan:
     """
 
     assignment: ActionAssignment
-    label: str
-    predicted_peak_bytes: Optional[int]
-
-    def __init__(
-        self,
-        checkpoint_units: frozenset[str] = frozenset(),
-        label: str = "",
-        swap_units: frozenset[str] = frozenset(),
-        segments: tuple[tuple[str, ...], ...] = (),
-        predicted_peak_bytes: Optional[int] = None,
-        *,
-        assignment: Optional[ActionAssignment] = None,
-    ) -> None:
-        if assignment is None:
-            assignment = ActionAssignment.from_sets(
-                recompute=checkpoint_units,
-                swap=swap_units,
-                segments=segments,
-            )
-        elif checkpoint_units or swap_units or segments:
-            raise ValueError(
-                "pass either an assignment or the legacy unit sets, not both"
-            )
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "predicted_peak_bytes", predicted_peak_bytes)
-
-    # ------------------------------------------------------- action dispatch
-
-    def action_for(self, unit_name: str) -> MemoryAction:
-        return self.assignment.action_for(unit_name)
-
-    # --------------------------------------------------- derived legacy view
-
-    @property
-    def checkpoint_units(self) -> frozenset[str]:
-        return self.assignment.checkpoint_units
-
-    @property
-    def swap_units(self) -> frozenset[str]:
-        return self.assignment.swap_units
-
-    @property
-    def segments(self) -> tuple[tuple[str, ...], ...]:
-        return self.assignment.segments
-
-    @property
-    def segment_units(self) -> frozenset[str]:
-        return self.assignment.segment_units
-
-    @classmethod
-    def none(cls) -> "CheckpointPlan":
-        return cls(frozenset(), "none")
-
-    @classmethod
-    def of(cls, names: Sequence[str], label: str = "") -> "CheckpointPlan":
-        return cls(frozenset(names), label)
-
-    @classmethod
-    def from_assignment(
-        cls,
-        assignment: ActionAssignment,
-        label: str = "",
-        predicted_peak_bytes: Optional[int] = None,
-    ) -> "CheckpointPlan":
-        return cls(
-            label=label,
-            predicted_peak_bytes=predicted_peak_bytes,
-            assignment=assignment,
-        )
-
-    def __contains__(self, unit_name: str) -> bool:
-        return unit_name in self.checkpoint_units
-
-    def __len__(self) -> int:
-        return len(self.checkpoint_units)
+    label: str = ""
+    predicted_peak_bytes: Optional[int] = None
 
 
 class ExecutionMode(enum.Enum):
@@ -338,8 +258,18 @@ class ModelView:
         """Offline model analysis (static planners only)."""
         return self._model.profiles(batch)
 
-    def unit_index(self, name: str) -> int:
-        return self.unit_names.index(name)
+    def peak_bytes(self, batch: BatchInput, plan: CheckpointPlan) -> int:
+        """Analytic peak of one iteration on ``batch`` under ``plan``."""
+        # imported here: repro.planners.analysis imports this module
+        from repro.planners.analysis import predict_peak_bytes
+
+        return predict_peak_bytes(
+            self.profiles(batch),
+            plan,
+            static_bytes=self.static_memory.total,
+            input_nbytes=batch.nbytes,
+            checkpointable=self.checkpointable,
+        )
 
 
 @dataclass(frozen=True, slots=True)

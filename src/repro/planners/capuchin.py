@@ -21,9 +21,9 @@ transformer-block activations transfer slower than they recompute, so
 the hybrid degenerates mostly to checkpointing plus stalls wherever it
 chose to swap.
 
-The rule itself lives in the shared scheduling layer
-(:class:`~repro.core.scheduler.PcieCostModel` priced through
-:class:`~repro.core.scheduler.HybridGreedyScheduler`); this planner is a
+The rule itself lives in the solver layer
+(:class:`~repro.solvers.base.PcieCostModel` priced through
+:class:`~repro.solvers.greedy.HybridGreedyScheduler`); this planner is a
 thin caller that feeds it profile-measured forward/backward times and
 activation sizes for the measured input shape.
 """
@@ -32,11 +32,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.solvers.base import PcieCostModel, SchedulerInput
+from repro.solvers.base import PcieCostModel, SolverInput
 from repro.solvers.greedy import HybridGreedyScheduler
 from repro.models.base import BatchInput
-from repro.planners.analysis import predict_peak_bytes, unit_saved_bytes
+from repro.planners.analysis import unit_saved_bytes
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     PlanDecision,
     Planner,
@@ -94,55 +95,28 @@ class CapuchinPlanner(Planner):
             self.planned_for_size = batch.input_size
         return PlanDecision(self._plan, planning_time=1e-5)
 
-    def _unit_times(self, profile) -> tuple[float, float]:
-        fwd = sum(
-            self.device.kernel_time(c.flops, c.bytes_moved)
-            for c in profile.op_costs
-        )
-        bwd = sum(
-            self.device.kernel_time(c.bwd_flops, c.bwd_bytes)
-            for c in profile.op_costs
-        )
-        return fwd, bwd
-
     def _solve(self, batch: BatchInput) -> CheckpointPlan:
         view = self._require_view()
-        profiles = view.profiles(batch)
-        by_name = {p.module_name: p for p in profiles}
-        names = [n for n in view.unit_names if n in view.checkpointable]
-        static = view.static_memory.total
-
-        baseline_peak = predict_peak_bytes(
-            profiles,
-            CheckpointPlan.none(),
-            static_bytes=static,
-            input_nbytes=batch.nbytes,
-            checkpointable=view.checkpointable,
-        )
-        excess = baseline_peak - self.budget_bytes
+        none = CheckpointPlan(ActionAssignment(), "none")
+        excess = view.peak_bytes(batch, none) - self.budget_bytes
         if excess <= 0:
-            return CheckpointPlan(frozenset(), "capuchin")
+            return CheckpointPlan(ActionAssignment(), "capuchin")
 
         # Measured execution feeds the shared cost model: profile forward
         # times price RECOMPUTE, profile backward times set the overlap
         # window, and activation sizes price the PCIe transfers.  The
         # selection loop itself (largest-first until the excess is
         # covered, aggregate transfer envelope) is HybridGreedyScheduler.
+        by_name = {p.module_name: p for p in view.profiles(batch)}
+        names = [n for n in view.unit_names if n in view.checkpointable]
+        times = {n: self.device.unit_times(by_name[n].op_costs) for n in names}
         assignment = self.scheduler.assign(
-            SchedulerInput(
+            SolverInput(
                 est_bytes={n: unit_saved_bytes(by_name[n]) for n in names},
                 order={n: i for i, n in enumerate(names)},
                 excess_bytes=excess,
-                est_time={n: self._unit_times(by_name[n])[0] for n in names},
-                bwd_time={n: self._unit_times(by_name[n])[1] for n in names},
+                est_time={n: times[n][0] for n in names},
+                bwd_time={n: times[n][1] for n in names},
             )
         )
-        return CheckpointPlan.from_assignment(assignment, "capuchin")
-
-    @property
-    def chosen_swaps(self) -> frozenset[str]:
-        return self._plan.swap_units if self._plan else frozenset()
-
-    @property
-    def chosen_drops(self) -> frozenset[str]:
-        return self._plan.checkpoint_units if self._plan else frozenset()
+        return CheckpointPlan(assignment, "capuchin")

@@ -21,14 +21,14 @@ import math
 from typing import Optional, Sequence
 
 from repro.models.base import BatchInput
-from repro.planners.analysis import predict_peak_bytes, unit_saved_bytes
+from repro.planners.analysis import unit_saved_bytes
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     ModelView,
-    PlanDecision,
-    Planner,
     PlannerCapabilities,
 )
+from repro.planners.offline import OfflinePlanner
 
 _SCALE = 1 << 20  # knapsack weight quantum: 1 MiB
 
@@ -78,7 +78,7 @@ def solve_keep_knapsack(
     return chosen
 
 
-class CheckmatePlanner(Planner):
+class CheckmatePlanner(OfflinePlanner):
     """Optimal static planner for an assumed input shape.
 
     Args:
@@ -86,7 +86,8 @@ class CheckmatePlanner(Planner):
         assumed_batch: the input shape the static graph was traced with.
             The paper's evaluation uses a representative (large-ish) shape;
             pass the calibration p95 for that behaviour.
-        solve_time_s: modelled offline solve time (reported, not charged).
+        solve_time_s: modelled offline solve time (reported, not charged);
+            ``None`` keeps the class default.
     """
 
     name = "checkmate"
@@ -97,52 +98,52 @@ class CheckmatePlanner(Planner):
         search_algorithm="MILP+approx.",
     )
     requires_physical_capacity = True  # overshoots on larger-than-assumed inputs
-    #: headroom below the budget for allocator segment-pooling slack
-    FRAG_RESERVE = 256 * 1024**2
+    solve_time_s = 3600.0
+    #: fraction of the budget the solve may additionally use when the
+    #: budget is enforced only logically (MONeT's operator selection)
+    OPERATOR_HEADROOM = 0.0
+    #: label of the all-checkpoint plan taken when nothing cheaper fits
+    ALL_LABEL = "all"
 
     def __init__(
         self,
         budget_bytes: int,
         assumed_batch: BatchInput,
         *,
-        solve_time_s: float = 3600.0,
+        solve_time_s: Optional[float] = None,
         enforce_budget: bool = False,
     ) -> None:
-        super().__init__(budget_bytes)
-        self.assumed_batch = assumed_batch
-        self.solve_time_s = solve_time_s
+        super().__init__(budget_bytes, assumed_batch)
+        if solve_time_s is not None:
+            self.solve_time_s = solve_time_s
         # When the assumed shape is the true worst case (NLP, where the
         # truncation cap bounds every input) the plan genuinely respects
         # the budget, so the executor may enforce it as a hard cap.  With
         # a calibration shape (OD) larger inputs overshoot, and only
         # physical capacity makes that observable (Fig 10 annotations).
         self.requires_physical_capacity = not enforce_budget
-        self._plan: Optional[CheckpointPlan] = None
 
     # ------------------------------------------------------------------ solve
 
-    def setup(self, view: ModelView) -> None:
-        super().setup(view)
-        self._plan = self._solve(view)
-
     def _solve(self, view: ModelView) -> CheckpointPlan:
-        batch = self.assumed_batch
-        profiles = view.profiles(batch)
-        static = view.static_memory.total
+        profiles = view.profiles(self.assumed_batch)
         names = [n for n in view.unit_names if n in view.checkpointable]
         by_name = {p.module_name: p for p in profiles}
         saved = {n: unit_saved_bytes(by_name[n]) for n in names}
         fwd_cost = {n: by_name[n].fwd_flops for n in names}
 
-        all_plan = CheckpointPlan.of(names, "all")
-        floor_peak = predict_peak_bytes(
-            profiles,
-            all_plan,
-            static_bytes=static,
-            input_nbytes=batch.nbytes,
-            checkpointable=view.checkpointable,
+        all_plan = CheckpointPlan(
+            ActionAssignment.from_sets(recompute=names), self.ALL_LABEL
         )
-        usable = self.budget_bytes - self.FRAG_RESERVE
+        floor_peak = self._peak(view, all_plan)
+        # Operator-implementation freedom loosens the memory constraint
+        # slightly; under hard budget enforcement the executor cannot
+        # model the alternative implementations, so only a logically
+        # enforced budget is loosened.
+        budget = self.budget_bytes
+        if self.requires_physical_capacity:
+            budget = int(budget * (1 + self.OPERATOR_HEADROOM))
+        usable = budget - self.FRAG_RESERVE
         capacity = usable - floor_peak
         # Tighten until the exact peak model accepts the plan (quantisation
         # and liveness-window effects can make the linear model optimistic).
@@ -155,20 +156,14 @@ class CheckmatePlanner(Planner):
                 capacity,
             )
             kept = {names[i] for i in kept_idx}
-            plan = CheckpointPlan(frozenset(names) - frozenset(kept), "checkmate")
-            peak = predict_peak_bytes(
-                profiles,
-                plan,
-                static_bytes=static,
-                input_nbytes=batch.nbytes,
-                checkpointable=view.checkpointable,
+            plan = CheckpointPlan(
+                ActionAssignment.from_sets(
+                    recompute=[n for n in names if n not in kept]
+                ),
+                self.name,
             )
+            peak = self._peak(view, plan)
             if peak <= usable:
                 return plan
             capacity -= peak - usable
         return all_plan
-
-    def plan(self, batch: BatchInput) -> PlanDecision:
-        if self._plan is None:
-            raise RuntimeError("setup() must run before plan()")
-        return PlanDecision(self._plan, planning_time=1e-6)

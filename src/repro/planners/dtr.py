@@ -29,6 +29,7 @@ from typing import Mapping, Optional
 
 from repro.models.base import BatchInput
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     EvictableGroup,
     ExecutionMode,
@@ -77,13 +78,14 @@ class DTRPlanner(Planner):
         self.upkeep_time_per_tensor = upkeep_time_per_tensor
         self.search_time_per_item = search_time_per_item
         self.oom_events = 0
+        self._decision = PlanDecision(
+            CheckpointPlan(ActionAssignment(), "dtr-reactive"),
+            mode=ExecutionMode.REACTIVE,
+        )
 
     def plan(self, batch: BatchInput) -> PlanDecision:
         # DTR never plans ahead; it reacts during execution.
-        return PlanDecision(
-            CheckpointPlan(frozenset(), "dtr-reactive"),
-            mode=ExecutionMode.REACTIVE,
-        )
+        return self._decision
 
     def on_oom(
         self,

@@ -18,14 +18,7 @@ this reproduction:
 
 from __future__ import annotations
 
-
-from repro.models.base import BatchInput
-from repro.planners.base import (
-    CheckpointPlan,
-    ModelView,
-    PlanDecision,
-    PlannerCapabilities,
-)
+from repro.planners.base import PlannerCapabilities
 from repro.planners.checkmate import CheckmatePlanner
 
 
@@ -39,45 +32,7 @@ class MonetPlanner(CheckmatePlanner):
         search_space="holistic",
         search_algorithm="MILP",
     )
-    requires_physical_capacity = True
-
+    solve_time_s = 8 * 3600.0
     #: fraction of working memory the joint op selection saves
     OPERATOR_HEADROOM = 0.05
-
-    def __init__(
-        self,
-        budget_bytes: int,
-        assumed_batch: BatchInput,
-        *,
-        solve_time_s: float = 8 * 3600.0,
-        enforce_budget: bool = False,
-    ) -> None:
-        # The operator-implementation freedom effectively loosens the
-        # memory constraint slightly relative to a pure-checkpointing
-        # solve.  Under hard budget enforcement the executor cannot model
-        # those alternative implementations, so the loosening is only
-        # applied when the budget is enforced logically.
-        if enforce_budget:
-            self._effective_budget = budget_bytes
-        else:
-            self._effective_budget = int(budget_bytes * (1 + self.OPERATOR_HEADROOM))
-        super().__init__(
-            budget_bytes,
-            assumed_batch,
-            solve_time_s=solve_time_s,
-            enforce_budget=enforce_budget,
-        )
-
-    def _solve(self, view: ModelView) -> CheckpointPlan:
-        # Solve against the slightly loosened budget, then relabel.
-        original = self.budget_bytes
-        try:
-            self.budget_bytes = self._effective_budget
-            plan = super()._solve(view)
-        finally:
-            self.budget_bytes = original
-        return CheckpointPlan(plan.checkpoint_units, "monet")
-
-    def plan(self, batch: BatchInput) -> PlanDecision:
-        decision = super().plan(batch)
-        return PlanDecision(decision.plan, planning_time=1e-6)
+    ALL_LABEL = name

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.models.base import BatchInput
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     PlanDecision,
     Planner,
@@ -30,4 +31,4 @@ class NoCheckpointPlanner(Planner):
     requires_physical_capacity = True
 
     def plan(self, batch: BatchInput) -> PlanDecision:
-        return PlanDecision(CheckpointPlan.none())
+        return PlanDecision(CheckpointPlan(ActionAssignment(), "none"))

@@ -24,15 +24,13 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.models.base import BatchInput
-from repro.planners.analysis import predict_peak_bytes
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     ModelView,
-    PlanDecision,
-    Planner,
     PlannerCapabilities,
 )
-from repro.planners.sublinear import SublinearPlanner, evenly_spaced_keep
+from repro.planners.sublinear import SublinearPlanner
 
 
 def checkpointable_runs(view: ModelView) -> list[list[str]]:
@@ -83,9 +81,8 @@ def balanced_segments(
 
 def segment_plan(view: ModelView, k: int, label: str = "segmented") -> CheckpointPlan:
     """A plan with every checkpointable unit in one of ~k segments."""
-    return CheckpointPlan(
-        frozenset(), label, frozenset(), balanced_segments(checkpointable_runs(view), k)
-    )
+    segments = balanced_segments(checkpointable_runs(view), k)
+    return CheckpointPlan(ActionAssignment(segments=segments), label)
 
 
 def minimum_memory_plan(
@@ -96,26 +93,19 @@ def minimum_memory_plan(
     Returns ``(plan, predicted_peak_bytes)`` after scanning every segment
     count from 1 to the number of checkpointable units.
     """
-    profiles = view.profiles(batch)
     n = len(view.checkpointable)
     best_plan: Optional[CheckpointPlan] = None
     best_peak = 0
     for k in range(1, max(n, 1) + 1):
         plan = segment_plan(view, k, f"segmented-k{k}")
-        peak = predict_peak_bytes(
-            profiles,
-            plan,
-            static_bytes=view.static_memory.total,
-            input_nbytes=batch.nbytes,
-            checkpointable=view.checkpointable,
-        )
+        peak = view.peak_bytes(batch, plan)
         if best_plan is None or peak < best_peak:
             best_plan, best_peak = plan, peak
     assert best_plan is not None
     return best_plan, best_peak
 
 
-class SegmentedSublinearPlanner(Planner):
+class SegmentedSublinearPlanner(SublinearPlanner):
     """Static planner with the segment-level fallback.
 
     Args:
@@ -130,51 +120,17 @@ class SegmentedSublinearPlanner(Planner):
         search_space="segments",
         search_algorithm="greedy",
     )
-    FRAG_RESERVE = SublinearPlanner.FRAG_RESERVE
 
-    def __init__(self, budget_bytes: int, worst_case_batch: BatchInput) -> None:
-        super().__init__(budget_bytes)
-        self.worst_case_batch = worst_case_batch
-        self._plan: Optional[CheckpointPlan] = None
-
-    def setup(self, view: ModelView) -> None:
-        super().setup(view)
-        self._plan = self._solve(view)
-
-    def _peak(self, view: ModelView, plan: CheckpointPlan) -> int:
-        return predict_peak_bytes(
-            view.profiles(self.worst_case_batch),
-            plan,
-            static_bytes=view.static_memory.total,
-            input_nbytes=self.worst_case_batch.nbytes,
-            checkpointable=view.checkpointable,
-        )
-
-    def _solve(self, view: ModelView) -> CheckpointPlan:
+    def _fallback(self, view: ModelView, names: list[str]) -> CheckpointPlan:
+        # Segment fallback: scan segment counts outward from √n and take
+        # the first that fits (ties go to fewer segments) — near √n the
+        # retained boundaries and the replayed segment balance.
         usable = self.budget_bytes - self.FRAG_RESERVE
-        names = [n for n in view.unit_names if n in view.checkpointable]
-        # 1) per-unit plans, keeping as much as possible (cheapest backward)
-        for keep in range(len(names), -1, -1):
-            kept = evenly_spaced_keep(names, keep)
-            plan = CheckpointPlan(frozenset(names) - kept, "sublinear-seg")
+        n = len(names)
+        for k in sorted(range(1, n + 1), key=lambda k: abs(k - int(n**0.5))):
+            plan = segment_plan(view, k, self.name)
             if self._peak(view, plan) <= usable:
                 return plan
-        # 2) segment fallback: the coarsest segmentation that fits (fewer
-        # retained boundaries; finer would fit too but k is scanned from
-        # sqrt-ish outward for the smallest backward working set)
-        n = len(names)
-        candidates = sorted(range(1, n + 1), key=lambda k: abs(k - int(n**0.5)))
-        fitting = [
-            k for k in candidates
-            if self._peak(view, segment_plan(view, k)) <= usable
-        ]
-        if fitting:
-            return segment_plan(view, fitting[0], "sublinear-seg")
-        # 3) nothing fits: the minimum-memory segmentation (may still OOM)
-        plan, _ = minimum_memory_plan(view, self.worst_case_batch)
+        # Nothing fits: the minimum-memory segmentation (may still OOM).
+        plan, _ = minimum_memory_plan(view, self.assumed_batch)
         return plan
-
-    def plan(self, batch: BatchInput) -> PlanDecision:
-        if self._plan is None:
-            raise RuntimeError("setup() must run before plan()")
-        return PlanDecision(self._plan, planning_time=1e-6)

@@ -14,17 +14,14 @@ units whose predicted worst-case peak fits the budget.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.models.base import BatchInput
-from repro.planners.analysis import predict_peak_bytes
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     ModelView,
-    PlanDecision,
-    Planner,
     PlannerCapabilities,
 )
+from repro.planners.offline import OfflinePlanner
 
 
 def evenly_spaced_keep(names: list[str], keep: int) -> frozenset[str]:
@@ -39,7 +36,7 @@ def evenly_spaced_keep(names: list[str], keep: int) -> frozenset[str]:
     return frozenset(kept)
 
 
-class SublinearPlanner(Planner):
+class SublinearPlanner(OfflinePlanner):
     """Static √n-style planner targeting the worst-case input.
 
     Args:
@@ -56,47 +53,25 @@ class SublinearPlanner(Planner):
         search_algorithm="greedy",
     )
 
-    #: headroom below the budget for allocator segment-pooling slack
-    FRAG_RESERVE = 256 * 1024**2
-
     def __init__(self, budget_bytes: int, worst_case_batch: BatchInput) -> None:
-        super().__init__(budget_bytes)
-        self.worst_case_batch = worst_case_batch
-        self._plan: Optional[CheckpointPlan] = None
-
-    def setup(self, view: ModelView) -> None:
-        super().setup(view)
-        self._plan = self._solve(view)
+        super().__init__(budget_bytes, worst_case_batch)
 
     def _solve(self, view: ModelView) -> CheckpointPlan:
-        batch = self.worst_case_batch
-        profiles = view.profiles(batch)
         names = [n for n in view.unit_names if n in view.checkpointable]
-        static = view.static_memory.total
+        usable = self.budget_bytes - self.FRAG_RESERVE
         # Keep as many evenly spaced units as possible while the
         # worst-case peak stays within budget.
-        best: Optional[frozenset[str]] = None
         for keep in range(len(names), -1, -1):
-            kept = evenly_spaced_keep(names, keep)
-            drop = frozenset(names) - kept
-            plan = CheckpointPlan(drop, f"sublinear-keep{keep}")
-            peak = predict_peak_bytes(
-                profiles,
-                plan,
-                static_bytes=static,
-                input_nbytes=batch.nbytes,
-                checkpointable=view.checkpointable,
+            drop = frozenset(names) - evenly_spaced_keep(names, keep)
+            plan = CheckpointPlan(
+                ActionAssignment.from_sets(recompute=drop), self.name
             )
-            if peak <= self.budget_bytes - self.FRAG_RESERVE:
-                best = drop
-                break
-        if best is None:
-            # even full checkpointing misses the budget; fall back to all
-            best = frozenset(names)
-        return CheckpointPlan(best, "sublinear")
+            if self._peak(view, plan) <= usable:
+                return plan
+        return self._fallback(view, names)
 
-    def plan(self, batch: BatchInput) -> PlanDecision:
-        if self._plan is None:
-            raise RuntimeError("setup() must run before plan()")
-        # Applying a precomputed static plan costs essentially nothing.
-        return PlanDecision(self._plan, planning_time=1e-6)
+    def _fallback(self, view: ModelView, names: list[str]) -> CheckpointPlan:
+        """The plan when no per-unit plan fits: checkpoint everything."""
+        return CheckpointPlan(
+            ActionAssignment.from_sets(recompute=names), self.name
+        )

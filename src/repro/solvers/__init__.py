@@ -15,8 +15,6 @@ import-for-effect idiom as :mod:`repro.engine.strategies` and
 from repro.solvers.base import (
     CostModel,
     PcieCostModel,
-    Scheduler,
-    SchedulerInput,
     Solver,
     SolverInput,
     covered_bytes,
@@ -42,8 +40,6 @@ from repro.solvers.adapters import CheckmateSolver, SublinearSolver
 __all__ = [
     "CostModel",
     "PcieCostModel",
-    "Scheduler",
-    "SchedulerInput",
     "Solver",
     "SolverInput",
     "covered_bytes",

@@ -1,11 +1,11 @@
-"""Legacy planner cores adapted to the solver interface.
+"""Static planner cores adapted to the solver interface.
 
 The static planners in :mod:`repro.planners` decide offline against a
 profiled worst-case/assumed shape, but their decision *cores* — the
 evenly-spaced keep rule of :mod:`repro.planners.sublinear` and the
 keep-knapsack of :mod:`repro.planners.checkmate` — are pure functions of
 per-unit bytes and times.  Re-housing those cores behind the solver
-registry does two things: the legacy planners stop being a second,
+registry does two things: the static planners stop being a second,
 parallel decision layer (they share one vocabulary with the runtime
 schedulers), and the optimality harness can price them per input size
 like any other solver, which is how Table I's gap column covers the

@@ -53,11 +53,6 @@ class SolverInput:
     bwd_time: Mapping[str, float] | None = None
 
 
-#: Historical name, kept for the pre-refactor scheduler vocabulary
-#: (``repro.core.scheduler`` re-exports it).
-SchedulerInput = SolverInput
-
-
 class CostModel(Protocol):
     """Prices each :class:`~repro.planners.base.MemoryAction` per unit.
 
@@ -239,10 +234,6 @@ class Solver:
         """
         del device, pcie_bandwidth, bwd_ratio
         return cls()
-
-
-#: Historical alias: the pre-refactor name for the solver interface.
-Scheduler = Solver
 
 
 _SOLVERS: dict[str, type[Solver]] = {}

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 from repro.graph.articulation import articulation_points
-from repro.planners.base import ActionAssignment
 from repro.solvers.base import Solver, SolverInput, register_solver
 
 

@@ -17,6 +17,10 @@ and compute-bound vs bandwidth-bound operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.graph.module import OpCost
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,6 +86,15 @@ class DeviceModel:
         compute = flops / self._flops_rate
         memory = bytes_moved / self._bw_rate
         return self.preset.launch_overhead + max(compute, memory)
+
+    def unit_times(self, op_costs: Iterable["OpCost"]) -> tuple[float, float]:
+        """(forward, backward) kernel seconds summed over a unit's ops."""
+        fwd = 0.0
+        bwd = 0.0
+        for c in op_costs:
+            fwd += self.kernel_time(c.flops, c.bytes_moved)
+            bwd += self.kernel_time(c.bwd_flops, c.bwd_bytes)
+        return fwd, bwd
 
     def transfer_time(
         self, nbytes: float, *, pcie_bandwidth: float | None = None

@@ -2,13 +2,13 @@
 
 Covers the refactor contract from three sides:
 
-* **round-trip** (property-based) — the legacy set vocabulary
+* **round-trip** (property-based) — the set vocabulary
   (``checkpoint_units``/``swap_units``/``segments``) and the canonical
   :class:`ActionAssignment` describe the same plan, whichever one a
   plan is built from;
 * **planner parity** — every registered planner's emitted plans
   reconstruct bit-equal from their own derived sets;
-* **CLI** — ``repro run --scheduler hybrid`` produces a mixed-action,
+* **CLI** — ``repro run --solver hybrid`` produces a mixed-action,
   budget-respecting run, and the flag is rejected off Mimose.
 """
 
@@ -19,12 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main as repro_main
-from repro.experiments.runner import (
-    PLANNER_NAMES,
-    SCHEDULER_NAMES,
-    make_scheduler,
-    run_task,
-)
+from repro.experiments.runner import PLANNER_NAMES, run_task
 from repro.experiments.tasks import GB, load_task
 from repro.planners.base import (
     ActionAssignment,
@@ -65,25 +60,32 @@ def legacy_plan_parts(draw):
 @given(parts=legacy_plan_parts())
 def test_property_legacy_sets_round_trip_through_assignment(parts):
     drop, swap, segments = parts
-    legacy = CheckpointPlan(drop, "prop", swap, segments)
-    # the derived views reproduce the constructor inputs
-    assert legacy.checkpoint_units == drop
-    assert legacy.swap_units == swap
-    assert legacy.segments == segments
-    # rebuilding from the canonical assignment is the identical plan
-    rebuilt = CheckpointPlan.from_assignment(legacy.assignment, "prop")
-    assert rebuilt == legacy
-    assert hash(rebuilt) == hash(legacy)
-    # ... and so is rebuilding from the derived sets
-    resets = CheckpointPlan(
-        rebuilt.checkpoint_units, "prop", rebuilt.swap_units, rebuilt.segments
+    plan = CheckpointPlan(
+        ActionAssignment.from_sets(
+            recompute=drop, swap=swap, segments=segments
+        ),
+        "prop",
     )
-    assert resets.assignment == legacy.assignment
+    a = plan.assignment
+    # the derived views reproduce the constructor inputs
+    assert a.checkpoint_units == drop
+    assert a.swap_units == swap
+    assert a.segments == segments
+    # rebuilding from the derived sets is the identical plan
+    rebuilt = CheckpointPlan(
+        ActionAssignment.from_sets(
+            recompute=a.checkpoint_units, swap=a.swap_units,
+            segments=a.segments,
+        ),
+        "prop",
+    )
+    assert rebuilt == plan
+    assert hash(rebuilt) == hash(plan)
     # per-unit dispatch agrees with the set vocabulary everywhere
     seg_units = {u for seg in segments for u in seg}
     for i in range(10):
         name = f"unit.{i}"
-        action = legacy.action_for(name)
+        action = a.action_for(name)
         if name in drop:
             assert action is MemoryAction.RECOMPUTE
         elif name in swap:
@@ -141,11 +143,14 @@ def test_planner_plans_reconstruct_from_derived_sets(planner_name):
     )
     assert captured
     for plan in captured:
+        a = plan.assignment
         rebuilt = CheckpointPlan(
-            plan.checkpoint_units,
+            ActionAssignment.from_sets(
+                recompute=a.checkpoint_units,
+                swap=a.swap_units,
+                segments=a.segments,
+            ),
             plan.label,
-            plan.swap_units,
-            plan.segments,
             plan.predicted_peak_bytes,
         )
         assert rebuilt == plan
@@ -155,13 +160,15 @@ def test_planner_plans_reconstruct_from_derived_sets(planner_name):
 def test_segment_plan_round_trips_and_dispatches():
     view = ModelView(make_tiny_model(num_units=6))
     plan = segment_plan(view, 3)
-    assert plan.segments
-    for seg in plan.segments:
+    segments = plan.assignment.segments
+    assert segments
+    for seg in segments:
         for unit in seg:
-            assert plan.action_for(unit) is MemoryAction.SEGMENT
-    rebuilt = CheckpointPlan.from_assignment(plan.assignment, plan.label)
+            assert plan.assignment.action_for(unit) is MemoryAction.SEGMENT
+    rebuilt = CheckpointPlan(
+        ActionAssignment.from_sets(segments=segments), plan.label
+    )
     assert rebuilt == plan
-    assert rebuilt.segments == plan.segments
 
 
 # -------------------------------------------------------------- hybrid CLI
@@ -171,7 +178,7 @@ def test_cli_run_scheduler_hybrid_mixes_actions(capsys):
     code = repro_main(
         [
             "run", "--task", "TC-Bert", "--planner", "mimose",
-            "--scheduler", "hybrid", "--budget-gb", "2.5",
+            "--solver", "hybrid", "--budget-gb", "2.5",
             "--iterations", "30",
         ]
     )
@@ -196,7 +203,7 @@ def test_cli_run_scheduler_hybrid_mixes_actions(capsys):
 def test_cli_run_reports_measured_pricing_and_ratio_override(capsys):
     base = [
         "run", "--task", "TC-Bert", "--planner", "mimose",
-        "--scheduler", "hybrid", "--budget-gb", "2.5",
+        "--solver", "hybrid", "--budget-gb", "2.5",
         "--iterations", "30",
     ]
     assert repro_main(base) == 0
@@ -256,17 +263,10 @@ def test_cli_rejects_scheduler_for_non_mimose_planner():
         repro_main(
             [
                 "run", "--task", "TC-Bert", "--planner", "capuchin",
-                "--scheduler", "hybrid", "--budget-gb", "4",
+                "--solver", "hybrid", "--budget-gb", "4",
                 "--iterations", "5",
             ]
         )
-
-
-def test_make_scheduler_names():
-    for name in SCHEDULER_NAMES:
-        assert make_scheduler(name).name == name
-    with pytest.raises(KeyError):
-        make_scheduler("simulated-annealing")
     with pytest.raises(ValueError, match="mimose"):
         run_task(
             load_task("TC-Bert", iterations=2, seed=0),
@@ -274,4 +274,56 @@ def test_make_scheduler_names():
             int(4 * GB),
             max_iterations=2,
             scheduler="hybrid",
+        )
+
+
+def test_explicit_greedy_solver_is_rejected_off_mimose():
+    # "greedy" is Mimose's default solver, but naming it is still a
+    # solver choice: off Mimose it is rejected like any other
+    with pytest.raises(SystemExit, match="--solver applies to the mimose"):
+        repro_main(
+            [
+                "run", "--task", "TC-Bert", "--planner", "dtr",
+                "--solver", "greedy", "--budget-gb", "4",
+                "--iterations", "5",
+            ]
+        )
+    with pytest.raises(ValueError, match="--solver applies to the mimose"):
+        run_task(
+            load_task("TC-Bert", iterations=2, seed=0),
+            "dtr",
+            int(4 * GB),
+            max_iterations=2,
+            scheduler="greedy",
+        )
+
+
+def test_explicit_greedy_solver_matches_mimose_default():
+    def run(**kwargs):
+        task = load_task("TC-Bert", iterations=12, seed=0)
+        return run_task(
+            task, "mimose", int(4 * GB), max_iterations=12, **kwargs
+        )
+
+    assert run(scheduler="greedy").digest() == run().digest()
+
+
+@pytest.mark.parametrize("ratio", ["-1.0", "0", "nan"])
+def test_non_positive_bwd_ratio_is_rejected(ratio):
+    with pytest.raises(SystemExit, match="--bwd-ratio must be positive"):
+        repro_main(
+            [
+                "run", "--task", "TC-Bert", "--planner", "mimose",
+                "--solver", "hybrid", "--budget-gb", "2.5",
+                "--iterations", "5", "--bwd-ratio", ratio,
+            ]
+        )
+    with pytest.raises(ValueError, match="--bwd-ratio must be positive"):
+        run_task(
+            load_task("TC-Bert", iterations=2, seed=0),
+            "mimose",
+            int(2.5 * GB),
+            max_iterations=2,
+            scheduler="hybrid",
+            bwd_ratio=float(ratio),
         )

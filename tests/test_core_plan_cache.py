@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan_cache import PlanCache
-from repro.planners.base import CheckpointPlan
+from repro.planners.base import ActionAssignment, CheckpointPlan
 
 
 def plan(label):
-    return CheckpointPlan(frozenset({label}), label)
+    return CheckpointPlan(ActionAssignment.from_sets(recompute={label}), label)
 
 
 def test_exact_hit():
@@ -111,7 +111,7 @@ def test_property_returned_plan_is_always_safe(sizes, probe):
     tol = 0.05
     c = PlanCache(tolerance=tol, max_entries=128)
     for s in sizes:
-        c.put(s, CheckpointPlan(frozenset(), str(s)))
+        c.put(s, CheckpointPlan(ActionAssignment(), str(s)))
     got = c.get(probe)
     if got is not None:
         stored_size = int(got.label)

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.planner import MimosePlanner
-from repro.core.scheduler import KnapsackScheduler
 from repro.engine.executor import TrainingExecutor
 from repro.models.base import BatchInput
 from repro.planners.base import ModelView
+from repro.solvers import KnapsackScheduler
 from repro.tensorsim.dtypes import FLOAT32
 
 from tests.helpers import GB, MB, make_tiny_model
@@ -95,10 +95,10 @@ def test_much_larger_input_triggers_recollection():
 
 
 def test_oom_widens_headroom_and_clears_cache():
-    from repro.planners.base import CheckpointPlan
+    from repro.planners.base import ActionAssignment, CheckpointPlan
 
     _, planner, _ = make_setup(2 * GB, collect=4)
-    planner.cache.put(1000, CheckpointPlan.none())
+    planner.cache.put(1000, CheckpointPlan(ActionAssignment(), "none"))
     from repro.engine.stats import IterationStats
 
     headroom = planner.headroom_bytes

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scheduler import (
+from repro.solvers import (
     GreedyScheduler,
     HybridGreedyScheduler,
     KnapsackScheduler,
     PcieCostModel,
-    SchedulerInput,
+    SolverInput,
     predicted_swap_stall,
 )
 
@@ -18,7 +18,7 @@ MB = 1 << 20
 
 def inp(est, excess, order=None, est_time=None, bwd_time=None):
     order = order or {u: i for i, u in enumerate(est)}
-    return SchedulerInput(
+    return SolverInput(
         est_bytes=est,
         order=order,
         excess_bytes=excess,

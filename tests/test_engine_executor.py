@@ -6,6 +6,7 @@ from repro.engine.executor import IterationOOM, TrainingExecutor
 from repro.engine.trace import MemoryTimeline
 from repro.models.base import BatchInput
 from repro.planners.base import (
+    ActionAssignment,
     CheckpointPlan,
     ExecutionMode,
     ModelView,
@@ -15,6 +16,8 @@ from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.dtypes import FLOAT32
 
 from tests.helpers import GB, MB, make_tiny_model
+
+NO_PLAN = CheckpointPlan(ActionAssignment(), "none")
 
 
 def make_executor(model=None, capacity=4 * GB, **kwargs):
@@ -46,7 +49,7 @@ def test_iteration_returns_to_static_memory():
     """No leaks: after each iteration only the static blocks remain."""
     ex = make_executor()
     for _ in range(3):
-        stats = ex.run_iteration(batch(), PlanDecision(CheckpointPlan.none()))
+        stats = ex.run_iteration(batch(), PlanDecision(NO_PLAN))
         assert not stats.oom
         assert stats.end_in_use == ex.static_bytes
     ex.allocator.check_consistency()
@@ -54,7 +57,7 @@ def test_iteration_returns_to_static_memory():
 
 def test_iteration_stats_time_components_positive():
     ex = make_executor()
-    stats = ex.run_iteration(batch(), PlanDecision(CheckpointPlan.none()))
+    stats = ex.run_iteration(batch(), PlanDecision(NO_PLAN))
     assert stats.fwd_time > 0
     assert stats.bwd_time > 0
     assert stats.optimizer_time > 0
@@ -70,9 +73,12 @@ def test_checkpointing_reduces_peak_and_adds_recompute():
     model = make_tiny_model(num_units=6, features=256)
     names = [u.name for u in model.units]
     ex = make_executor(model)
-    full = ex.run_iteration(batch(512, 256), PlanDecision(CheckpointPlan.none()))
+    full = ex.run_iteration(batch(512, 256), PlanDecision(NO_PLAN))
     ckpt = ex.run_iteration(
-        batch(512, 256), PlanDecision(CheckpointPlan.of(names, "all"))
+        batch(512, 256),
+        PlanDecision(
+            CheckpointPlan(ActionAssignment.from_sets(recompute=names), "all")
+        ),
     )
     assert ckpt.peak_in_use < full.peak_in_use
     assert ckpt.recompute_time > 0
@@ -87,7 +93,12 @@ def test_more_checkpointing_is_monotone_in_recompute_time():
     times = []
     for k in (0, 4, 8):
         s = ex.run_iteration(
-            batch(256, 128), PlanDecision(CheckpointPlan.of(names[:k], f"k{k}"))
+            batch(256, 128),
+            PlanDecision(
+                CheckpointPlan(
+                    ActionAssignment.from_sets(recompute=names[:k]), f"k{k}"
+                )
+            ),
         )
         times.append(s.recompute_time)
     assert times[0] == 0
@@ -97,10 +108,10 @@ def test_more_checkpointing_is_monotone_in_recompute_time():
 def test_collect_mode_doubles_forward_and_measures():
     model = make_tiny_model(num_units=4, features=128)
     ex = make_executor(model)
-    normal = ex.run_iteration(batch(64, 128), PlanDecision(CheckpointPlan.none()))
+    normal = ex.run_iteration(batch(64, 128), PlanDecision(NO_PLAN))
     collect = ex.run_iteration(
         batch(64, 128),
-        PlanDecision(CheckpointPlan.none(), mode=ExecutionMode.COLLECT),
+        PlanDecision(NO_PLAN, mode=ExecutionMode.COLLECT),
     )
     assert collect.collect_time == pytest.approx(collect.fwd_time)
     assert len(collect.measurements) == 4
@@ -118,7 +129,7 @@ def test_collect_measurement_matches_profile_saved_bytes():
     ex = make_executor(model)
     b = batch(32, 64)
     stats = ex.run_iteration(
-        b, PlanDecision(CheckpointPlan.none(), mode=ExecutionMode.COLLECT)
+        b, PlanDecision(NO_PLAN, mode=ExecutionMode.COLLECT)
     )
     from repro.planners.analysis import unit_saved_bytes
 
@@ -136,13 +147,13 @@ def test_oom_returns_failed_stats_and_unwinds():
     planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=static + 64 * MB)
     stats = ex.run_iteration(
-        batch(4096, 1024), PlanDecision(CheckpointPlan.none())
+        batch(4096, 1024), PlanDecision(NO_PLAN)
     )
     assert stats.oom
     assert ex.allocator.bytes_in_use == ex.static_bytes  # fully unwound
     ex.allocator.check_consistency()
     # the executor remains usable afterwards
-    ok = ex.run_iteration(batch(4, 1024), PlanDecision(CheckpointPlan.none()))
+    ok = ex.run_iteration(batch(4, 1024), PlanDecision(NO_PLAN))
     assert not ok.oom
 
 
@@ -155,7 +166,7 @@ def test_raise_on_oom_mode():
         model, planner, capacity_bytes=static + 32 * MB, raise_on_oom=True
     )
     with pytest.raises(IterationOOM):
-        ex.run_iteration(batch(4096, 1024), PlanDecision(CheckpointPlan.none()))
+        ex.run_iteration(batch(4096, 1024), PlanDecision(NO_PLAN))
 
 
 def test_plan_entries_for_non_checkpointable_units_ignored(bert_model):
@@ -167,7 +178,13 @@ def test_plan_entries_for_non_checkpointable_units_ignored(bert_model):
 
     b = BatchInput((8, 64), INT64)
     s = ex.run_iteration(
-        b, PlanDecision(CheckpointPlan.of(["embeddings", "head"], "bad"))
+        b,
+        PlanDecision(
+            CheckpointPlan(
+                ActionAssignment.from_sets(recompute=["embeddings", "head"]),
+                "bad",
+            )
+        ),
     )
     assert s.num_checkpointed == 0
     assert s.recompute_time == 0
@@ -179,7 +196,7 @@ def test_timeline_records_phases():
     planner = NoCheckpointPlanner(4 * GB)
     planner.setup(ModelView(model))
     ex = TrainingExecutor(model, planner, capacity_bytes=4 * GB, timeline=timeline)
-    ex.run_iteration(batch(), PlanDecision(CheckpointPlan.none()))
+    ex.run_iteration(batch(), PlanDecision(NO_PLAN))
     phases = [p.phase for p in timeline.points]
     assert "fwd:unit.0" in phases
     assert "bwd:unit.2" in phases
@@ -205,7 +222,7 @@ def test_step_delegates_to_planner():
 def test_simulated_clock_advances_monotonically():
     ex = make_executor()
     t0 = ex.clock.now
-    ex.run_iteration(batch(), PlanDecision(CheckpointPlan.none()))
+    ex.run_iteration(batch(), PlanDecision(NO_PLAN))
     t1 = ex.clock.now
-    ex.run_iteration(batch(), PlanDecision(CheckpointPlan.none()))
+    ex.run_iteration(batch(), PlanDecision(NO_PLAN))
     assert t0 < t1 < ex.clock.now

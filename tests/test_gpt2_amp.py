@@ -105,7 +105,12 @@ def test_amp_param_count_unchanged():
 def test_amp_trains_under_smaller_budget():
     """An fp16 model fits a budget its fp32 twin cannot."""
     from repro.engine.executor import TrainingExecutor
-    from repro.planners.base import CheckpointPlan, ModelView, PlanDecision
+    from repro.planners.base import (
+        ActionAssignment,
+        CheckpointPlan,
+        ModelView,
+        PlanDecision,
+    )
     from repro.planners.none import NoCheckpointPlanner
 
     budget = int(3.9 * GB)  # between the amp (3.5 GB) and fp32 (5 GB) peaks
@@ -116,6 +121,8 @@ def test_amp_trains_under_smaller_budget():
         planner = NoCheckpointPlanner(budget)
         planner.setup(ModelView(model))
         ex = TrainingExecutor(model, planner, capacity_bytes=budget)
-        results[name] = ex.run_iteration(b, PlanDecision(CheckpointPlan.none()))
+        results[name] = ex.run_iteration(
+            b, PlanDecision(CheckpointPlan(ActionAssignment(), "none"))
+        )
     assert results["bert-base"].oom
     assert not results["bert-base-amp"].oom

@@ -10,7 +10,13 @@ from repro.core.planner import MimosePlanner
 from repro.engine.executor import TrainingExecutor
 from repro.models.base import BatchInput
 from repro.planners.analysis import unit_saved_bytes
-from repro.planners.base import CheckpointPlan, ExecutionMode, ModelView, PlanDecision
+from repro.planners.base import (
+    ActionAssignment,
+    CheckpointPlan,
+    ExecutionMode,
+    ModelView,
+    PlanDecision,
+)
 from repro.planners.none import NoCheckpointPlanner
 from repro.tensorsim.dtypes import FLOAT32
 
@@ -29,7 +35,10 @@ def collect_with_noise(noise, sizes, seed=0, num_units=4):
     for rows in sizes:
         stats = ex.run_iteration(
             BatchInput((rows, 256), FLOAT32),
-            PlanDecision(CheckpointPlan.none(), mode=ExecutionMode.COLLECT),
+            PlanDecision(
+                CheckpointPlan(ActionAssignment(), "none"),
+                mode=ExecutionMode.COLLECT,
+            ),
         )
         collector.ingest(stats.measurements)
     return model, collector

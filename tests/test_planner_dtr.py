@@ -19,7 +19,7 @@ def test_plan_is_reactive_and_empty():
     p = DTRPlanner(GB)
     d = p.plan(BatchInput((8, 64), FLOAT32))
     assert d.mode is ExecutionMode.REACTIVE
-    assert len(d.plan) == 0
+    assert d.plan.assignment.is_empty
 
 
 def test_h_value_prefers_cheap_large_stale():

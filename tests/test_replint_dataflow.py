@@ -9,8 +9,6 @@ import ast
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import Finding, analyze_sources, create_rules
 from repro.analysis.cli import main as replint_main
 from repro.analysis.core import FileContext

@@ -13,14 +13,18 @@ from repro.planners.analysis import (
     predict_peak_bytes,
     no_checkpoint_peak,
 )
-from repro.planners.base import CheckpointPlan, ModelView, PlanDecision
+from repro.planners.base import (
+    ActionAssignment,
+    CheckpointPlan,
+    ModelView,
+    PlanDecision,
+)
 from repro.planners.none import NoCheckpointPlanner
 from repro.planners.segmented import (
     SegmentedSublinearPlanner,
     balanced_segments,
     checkpointable_runs,
     minimum_memory_plan,
-    segment_plan,
 )
 from repro.tensorsim.dtypes import FLOAT32, INT64
 
@@ -43,16 +47,16 @@ def executed_peak(model, batch, plan):
 
 def test_plan_rejects_unit_in_segment_and_drop_set():
     with pytest.raises(ValueError, match="conflicting"):
-        CheckpointPlan(frozenset({"a"}), "x", frozenset(), (("a", "b"),))
+        ActionAssignment.from_sets(recompute={"a"}, segments=(("a", "b"),))
     with pytest.raises(ValueError, match="conflicting"):
-        CheckpointPlan(frozenset(), "x", frozenset(), (("a",), ("a",)))
+        ActionAssignment(segments=(("a",), ("a",)))
     with pytest.raises(ValueError, match="non-empty"):
-        CheckpointPlan(frozenset(), "x", frozenset(), ((),))
+        ActionAssignment(segments=((),))
 
 
 def test_segment_units_property():
-    plan = CheckpointPlan(frozenset(), "x", frozenset(), (("a", "b"), ("c",)))
-    assert plan.segment_units == {"a", "b", "c"}
+    plan = CheckpointPlan(ActionAssignment(segments=(("a", "b"), ("c",))), "x")
+    assert plan.assignment.segment_units == {"a", "b", "c"}
 
 
 # ------------------------------------------------------------------ executor
@@ -63,14 +67,16 @@ def test_executor_validates_segments(tiny_model):
     ex = TrainingExecutor(tiny_model, planner, capacity_bytes=4 * GB)
     batch = BatchInput((8, 64), FLOAT32)
     bad_nonconsecutive = CheckpointPlan(
-        frozenset(), "x", frozenset(), (("unit.0", "unit.2"),)
+        ActionAssignment(segments=(("unit.0", "unit.2"),)), "x"
     )
     with pytest.raises(ValueError, match="consecutive"):
         ex.run_iteration(batch, PlanDecision(bad_nonconsecutive))
     with pytest.raises(ValueError, match="unknown unit"):
         ex.run_iteration(
             batch,
-            PlanDecision(CheckpointPlan(frozenset(), "x", frozenset(), (("nope",),))),
+            PlanDecision(
+                CheckpointPlan(ActionAssignment(segments=(("nope",),)), "x")
+            ),
         )
 
 
@@ -82,8 +88,8 @@ def test_segmenting_everything_recovers_no_checkpoint_peak(bert_model):
     batch = BatchInput((16, 256), INT64)
     profiles = view.profiles(batch)
     one_seg = CheckpointPlan(
-        frozenset(), "one", frozenset(),
-        (tuple(f"encoder.{i}" for i in range(12)),),
+        ActionAssignment(segments=(tuple(f"encoder.{i}" for i in range(12)),)),
+        "one",
     )
     peak_seg = predict_peak_bytes(
         profiles, one_seg,
@@ -127,7 +133,7 @@ def test_segmentation_helps_pre_norm_architectures():
     )
     plan, seg_floor = minimum_memory_plan(view, batch)
     assert seg_floor < unit_floor * 0.99
-    assert any(len(s) > 1 for s in plan.segments)
+    assert any(len(s) > 1 for s in plan.assignment.segments)
 
     bert_view = ModelView(build_model("bert-base"))
     bert_batch = BatchInput((16, 256), INT64)
@@ -153,10 +159,10 @@ def test_segmentation_helps_pre_norm_architectures():
 def test_predictor_matches_executor_with_segments(bert_model, segs):
     view = ModelView(bert_model)
     batch = BatchInput((16, 192), INT64)
-    plan = CheckpointPlan(
-        frozenset(), "seg", frozenset(),
-        tuple(tuple(f"encoder.{i}" for i in range(a, b)) for a, b in segs),
+    segments = tuple(
+        tuple(f"encoder.{i}" for i in range(a, b)) for a, b in segs
     )
+    plan = CheckpointPlan(ActionAssignment(segments=segments), "seg")
     pred = predict_peak_bytes(
         view.profiles(batch), plan,
         static_bytes=view.static_memory.total, input_nbytes=batch.nbytes,
@@ -171,8 +177,11 @@ def test_mixed_segments_and_unit_drops(bert_model):
     view = ModelView(bert_model)
     batch = BatchInput((16, 192), INT64)
     plan = CheckpointPlan(
-        frozenset({"encoder.8", "encoder.10"}), "mix", frozenset(),
-        (tuple(f"encoder.{i}" for i in range(0, 4)),),
+        ActionAssignment.from_sets(
+            recompute={"encoder.8", "encoder.10"},
+            segments=(tuple(f"encoder.{i}" for i in range(0, 4)),),
+        ),
+        "mix",
     )
     pred = predict_peak_bytes(
         view.profiles(batch), plan,
@@ -193,10 +202,8 @@ def test_property_segment_plans_never_leak(num_units, cut, rows):
     cut = min(cut, num_units - 1)
     model = make_tiny_model(num_units=num_units, features=128)
     names = [u.name for u in model.units]
-    plan = CheckpointPlan(
-        frozenset(), "p", frozenset(),
-        (tuple(names[:cut]), tuple(names[cut:])),
-    )
+    segments = (tuple(names[:cut]), tuple(names[cut:]))
+    plan = CheckpointPlan(ActionAssignment(segments=segments), "p")
     batch = BatchInput((rows, 128), FLOAT32)
     pred = predict_peak_bytes(
         ModelView(model).profiles(batch), plan,
@@ -239,7 +246,7 @@ def test_segmented_planner_prefers_per_unit_when_it_fits(bert_model):
     p = SegmentedSublinearPlanner(5 * GB, worst_case_batch=batch)
     p.setup(view)
     decision = p.plan(batch)
-    assert not decision.plan.segments  # per-unit plan was enough
+    assert not decision.plan.assignment.segments  # per-unit plan was enough
 
 
 def test_segmented_planner_extends_below_per_unit_floor():
@@ -258,7 +265,7 @@ def test_segmented_planner_extends_below_per_unit_floor():
     planner = SegmentedSublinearPlanner(budget, worst_case_batch=batch)
     planner.setup(view)
     plan = planner.plan(batch).plan
-    assert plan.segments  # fell back to segment checkpointing
+    assert plan.assignment.segments  # fell back to segment checkpointing
     executor_model = build_model("gpt2-small")
     p2 = SegmentedSublinearPlanner(budget, worst_case_batch=batch)
     p2.setup(ModelView(executor_model))
