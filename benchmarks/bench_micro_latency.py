@@ -3,7 +3,8 @@
 These are genuine wall-clock measurements (the same Python work the real
 Mimose does on its critical path), so pytest-benchmark's statistics are
 meaningful here: estimator fit, per-size prediction, Algorithm 1
-scheduling, cache lookup, and tracing the model for new input shapes.
+scheduling, cache lookup, tracing the model for new input shapes, and
+fully simulated reactive (DTR) iterations.
 """
 
 import numpy as np
@@ -18,6 +19,8 @@ from repro.solvers import (
     SolverInput,
 )
 from repro.engine.stats import UnitMeasurement
+from repro.experiments.runner import run_task
+from repro.experiments.tasks import load_task
 from repro.models.base import BatchInput
 from repro.models.registry import build_model
 from repro.planners.base import ActionAssignment, CheckpointPlan
@@ -168,3 +171,29 @@ def bench_profile_new_shapes(benchmark):
 
     model = benchmark(profile_new_shapes)
     assert model.unit_traces == 3 * len(shapes)
+
+
+def bench_reactive_iterations(benchmark):
+    """100 QA-Bert DTR iterations at the task's second default budget.
+
+    REACTIVE mode bypasses replay and compiled templates, so every
+    iteration is a full tensor-level simulation: strategy allocation,
+    allocator malloc/free and eviction.  The allocator call counts are
+    pinned exactly, so a change that adds or drops per-tensor work fails
+    here whatever the timing, and every round must reproduce one digest.
+    """
+    task = load_task("QA-Bert", iterations=100)
+    budget = task.default_budgets()[1]
+    rounds = []
+
+    def reactive_iterations():
+        executors = []
+        result = run_task(task, "dtr", budget, observers=[executors.append])
+        stats = executors[0].allocator.stats
+        rounds.append((result.digest(), stats.num_allocs, stats.num_frees))
+        return result
+
+    result = benchmark(reactive_iterations)
+    assert result.num_iterations == 100
+    assert len({digest for digest, _, _ in rounds}) == 1
+    assert {(allocs, frees) for _, allocs, frees in rounds} == {(28_703, 28_700)}

@@ -26,6 +26,7 @@ from repro.experiments.runner import (
 from repro.data.datasets import DRIFT_SCENARIOS
 from repro.experiments.tasks import GB, TASKS, load_task
 from repro.solvers import solver_class
+from repro.tensorsim.device import V100
 from repro.tensorsim.faults import FaultPlan
 
 
@@ -104,6 +105,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"error: --budget-gb must be a positive number, "
             f"not {args.budget_gb}"
+        )
+    # every run simulates the paper's V100 (run_task's default device)
+    device_bytes = V100.memory_capacity
+    if int(args.budget_gb * GB) > device_bytes:
+        raise SystemExit(
+            f"error: --budget-gb {args.budget_gb} exceeds the simulated "
+            f"{V100.name}'s {device_bytes / GB:g} GB of device memory"
         )
     try:
         check_planner_options(

@@ -336,22 +336,27 @@ class EventBus:
     def wants(self, event_type: type) -> bool:
         """Whether any subscriber would receive ``event_type`` — use to
         skip constructing hot-path events with no audience."""
-        return bool(self._handlers_for(event_type))
+        handlers = self._dispatch.get(event_type)
+        if handlers is None:
+            handlers = self._handlers_for(event_type)
+        return bool(handlers)
 
     def emit(self, event: object) -> None:
         """Deliver ``event`` to every matching handler, in order."""
-        for handler in self._handlers_for(type(event)):
+        handlers = self._dispatch.get(type(event))
+        if handlers is None:
+            handlers = self._handlers_for(type(event))
+        for handler in handlers:
             handler(event)
 
     # ------------------------------------------------------------- internals
 
     def _handlers_for(self, event_type: type) -> tuple[Handler, ...]:
-        handlers = self._dispatch.get(event_type)
-        if handlers is None:
-            handlers = tuple(
-                s.handler for s in self._subs if s.matches(event_type)
-            )
-            self._dispatch[event_type] = handlers
+        """Build and cache the dispatch tuple of ``event_type``."""
+        handlers = tuple(
+            s.handler for s in self._subs if s.matches(event_type)
+        )
+        self._dispatch[event_type] = handlers
         return handlers
 
     def __len__(self) -> int:

@@ -47,7 +47,7 @@ sensitive** (addition is not associative), so the sequence of
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
 from repro.engine.events import (
     BackwardMeasured,
@@ -189,7 +189,9 @@ class IterationContext:
     Owns the per-iteration mutable state (unit runtimes, the input
     tensor) and the tensor-lifetime helpers the strategies compose.
     Tensor allocation (:meth:`alloc_tensor`) dispatches through the
-    strategy so reactive planners can interpose eviction.
+    strategy so reactive planners can interpose eviction.  The
+    executor's collaborators (allocator, clock, bus, …) are copied into
+    plain fields once per iteration; none of them is rebound mid-run.
     """
 
     executor: "TrainingExecutor"
@@ -201,36 +203,23 @@ class IterationContext:
     profiles: tuple[ModuleProfile, ...]
     runtimes: list[UnitRuntime] = field(default_factory=list)
     input_tensor: Optional[SimTensor] = None
+    allocator: Any = field(init=False, repr=False)
+    clock: Any = field(init=False, repr=False)
+    device: Any = field(init=False, repr=False)
+    bus: Any = field(init=False, repr=False)
+    faults: Any = field(init=False, repr=False)
+    planner: Any = field(init=False, repr=False)
+    model: Any = field(init=False, repr=False)
 
-    # ----------------------------------------------------------- shortcuts
-
-    @property
-    def allocator(self):
-        return self.executor.allocator
-
-    @property
-    def clock(self):
-        return self.executor.clock
-
-    @property
-    def device(self):
-        return self.executor.device
-
-    @property
-    def bus(self):
-        return self.executor.events
-
-    @property
-    def faults(self):
-        return self.executor.faults
-
-    @property
-    def planner(self):
-        return self.executor.planner
-
-    @property
-    def model(self):
-        return self.executor.model
+    def __post_init__(self) -> None:
+        ex = self.executor
+        self.allocator = ex.allocator
+        self.clock = ex.clock
+        self.device = ex.device
+        self.bus = ex.events
+        self.faults = ex.faults
+        self.planner = ex.planner
+        self.model = ex.model
 
     # ---------------------------------------------------------- time & alloc
 
@@ -256,10 +245,13 @@ class IterationContext:
         recompute calls ``records`` is already trimmed and the boundary is
         still live, so exactly the dropped internals come back.
         """
-        assert not any(t.is_materialized for t in rt.internals), "already live"
+        assert not any(t.block is not None for t in rt.internals), "already live"
         if not rt.records:
             rt.records = rt.profile.activations
-        rt.internals = []
+        internals: list[SimTensor] = []
+        rt.internals = internals
+        alloc = self.strategy.alloc
+        allocator = self.allocator
         # Transient (non-saved) tensors are freed as soon as their consumer
         # has run — modelled as "when the next record is allocated".  The
         # trailing transient survives until the unit's cleanup (it may be
@@ -267,10 +259,11 @@ class IterationContext:
         prev_transient: Optional[SimTensor] = None
         for rec in rt.records:
             t = SimTensor(rec.spec, rec.name)
-            self.alloc_tensor(t)
-            rt.internals.append(t)
-            if prev_transient is not None:
-                prev_transient.drop(self.allocator)
+            alloc(self, t)
+            internals.append(t)
+            if prev_transient is not None and prev_transient.block is not None:
+                allocator.free(prev_transient.block)
+                prev_transient.block = None
             prev_transient = None if rec.saved else t
 
     def ensure_boundary(self, rt: UnitRuntime) -> None:
@@ -293,31 +286,41 @@ class IterationContext:
         ``records`` is reset to the full non-boundary record list so a later
         recompute rematerialises the transient working tensors too.
         """
+        allocator = self.allocator
         for t in rt.internals:
-            t.drop(self.allocator)
+            if t.block is not None:
+                allocator.free(t.block)
+                t.block = None
         rt.internals = []
         acts = rt.profile.activations
         rt.records = acts[:-1] if rt.boundary_is_internal else acts
 
     def free_transients(self, rt: UnitRuntime) -> None:
         """Free forward-only working tensors; keep the saved ones."""
+        allocator = self.allocator
         keep_tensors: list[SimTensor] = []
         keep_records = []
         for t, rec in zip(rt.internals, rt.records):
             if rec.saved:
                 keep_tensors.append(t)
                 keep_records.append(rec)
-            else:
-                t.drop(self.allocator)
+            elif t.block is not None:
+                allocator.free(t.block)
+                t.block = None
         rt.internals = keep_tensors
         rt.records = tuple(keep_records)
 
     def release_unit(self, rt: UnitRuntime) -> None:
+        allocator = self.allocator
         for t in rt.internals:
-            t.drop(self.allocator)
+            if t.block is not None:
+                allocator.free(t.block)
+                t.block = None
         rt.internals = []
-        if rt.boundary is not None:
-            rt.boundary.drop(self.allocator)
+        boundary = rt.boundary
+        if boundary is not None and boundary.block is not None:
+            allocator.free(boundary.block)
+            boundary.block = None
         rt.boundary = None
 
     def saved_block_bytes(self, rt: UnitRuntime) -> int:
@@ -418,20 +421,21 @@ class ExecutionStrategy:
         raise NotImplementedError
 
     def alloc(self, ctx: IterationContext, tensor: SimTensor) -> None:
-        """Plan-based allocation: fail fast on (injected) OOM."""
+        """Plan-based allocation of a fresh (unmaterialized) tensor: fail
+        fast on (injected) OOM."""
+        nbytes = tensor.spec.nbytes
+        allocator = ctx.allocator
         faults = ctx.faults
-        if faults is not None and faults.should_fail(tensor.nbytes):
+        if faults is not None and faults.should_fail(nbytes):
             raise OutOfMemoryError(
-                tensor.nbytes,
-                ctx.allocator.bytes_free_cached,
-                ctx.allocator.largest_free_block(),
+                nbytes,
+                allocator.bytes_free_cached,
+                allocator.largest_free_block(),
             )
-        tensor.materialize(ctx.allocator)
+        tensor.block = allocator.malloc(nbytes, owner=tensor.name)
         if ctx.bus.wants(TensorAlloc):
             ctx.bus.emit(
-                TensorAlloc(
-                    ctx.iteration, tensor.nbytes, tensor.name, ctx.clock.now
-                )
+                TensorAlloc(ctx.iteration, nbytes, tensor.name, ctx.clock.now)
             )
 
     # --------------------------------------------------------- shared steps
@@ -732,34 +736,32 @@ class ReactiveStrategy(ExecutionStrategy):
             ctx.emit_unit_backward(rt)
 
     def alloc(self, ctx: IterationContext, tensor: SimTensor) -> None:
+        needed = tensor.spec.nbytes
         faults = ctx.faults
-        injected = faults is not None and faults.should_fail(tensor.nbytes)
-        if injected:
+        if faults is not None and faults.should_fail(needed):
             # Reactive planners react to a failed cudaMalloc by evicting;
             # give them the same chance against an injected failure.
-            self._evict_one(ctx, tensor.nbytes)
+            self._evict_one(ctx, needed)
         # Enforce the logical budget first, then let the planner evict on
         # genuine (fragmentation) failures too.
         budget = ctx.planner.budget_bytes
-        needed = tensor.nbytes
         allocator = ctx.allocator
+        stats = allocator.stats
         while (
-            allocator.bytes_in_use + needed > budget
+            stats.bytes_in_use + needed > budget
             and self._evict_one(ctx, needed)
         ):
             pass
         while True:
             try:
-                tensor.materialize(allocator)
+                tensor.block = allocator.malloc(needed, owner=tensor.name)
                 break
             except OutOfMemoryError:
                 if not self._evict_one(ctx, needed):
                     raise
         if ctx.bus.wants(TensorAlloc):
             ctx.bus.emit(
-                TensorAlloc(
-                    ctx.iteration, tensor.nbytes, tensor.name, ctx.clock.now
-                )
+                TensorAlloc(ctx.iteration, needed, tensor.name, ctx.clock.now)
             )
 
     def _evict_one(self, ctx: IterationContext, requested: int) -> bool:

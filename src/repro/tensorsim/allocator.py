@@ -362,6 +362,13 @@ class CachingAllocator:
     def malloc(self, nbytes: int, *, owner: str = "") -> Block:
         """Allocate ``nbytes`` (rounded up to alignment).
 
+        Address-ordered best fit: ties on size break toward the lowest
+        address, so the chosen block depends only on the *set* of free
+        blocks, never on cache insertion history.  This canonical policy
+        is what lets two iterations with equal free-block sets behave
+        identically (the replay cache's steady-state proof).  A cache hit
+        is served right here; only a miss reserves a segment.
+
         Raises:
             OutOfMemoryError: when the request cannot be satisfied even
                 after the ``oom_callback`` (if any) was given a chance to
@@ -369,17 +376,35 @@ class CachingAllocator:
         """
         if nbytes < 0:
             raise ValueError("cannot allocate a negative number of bytes")
-        size = _align_up(max(nbytes, 1), self.alignment)
-
-        block = self._try_alloc(size, owner)
-        if block is None and self.oom_callback is not None:
-            if self.oom_callback(size):
-                block = self._try_alloc(size, owner)
+        align = self.alignment  # a power of two (checked at construction)
+        size = ((nbytes + align - 1) & -align) or align
+        free_blocks = self._free_blocks
+        block = free_blocks.best_fit(size)
         if block is None:
-            self.stats.num_oom += 1
-            raise OutOfMemoryError(
-                size, self.bytes_free_cached, self.largest_free_block()
+            block = self._miss(size)
+        # Carve ``size`` bytes from the head of the chosen free block,
+        # splitting off the tail when the remainder is worth keeping.
+        free_blocks.remove(block)
+        stats = self.stats
+        remainder = block.size - size
+        if remainder >= MIN_SPLIT_REMAINDER:
+            nxt = block.next
+            tail = Block(
+                block.addr + size, remainder, block.segment, True, "",
+                block, nxt,
             )
+            if nxt is not None:
+                nxt.prev = tail
+            block.next = tail
+            block.size = size
+            free_blocks.add(tail)
+            stats.num_splits += 1
+        block.free = False
+        block.owner = owner
+        stats.bytes_in_use += block.size
+        if stats.bytes_in_use > stats.peak_in_use:
+            stats.peak_in_use = stats.bytes_in_use
+        stats.num_allocs += 1
         return block
 
     def try_malloc(self, nbytes: int, *, owner: str = "") -> Optional[Block]:
@@ -389,17 +414,28 @@ class CachingAllocator:
         except OutOfMemoryError:
             return None
 
-    def _try_alloc(self, size: int, owner: str) -> Optional[Block]:
-        # Address-ordered best fit: ties on size break toward the lowest
-        # address, so the chosen block depends only on the *set* of free
-        # blocks, never on cache insertion history.  This canonical policy
-        # is what lets two iterations with equal free-block sets behave
-        # identically (the replay cache's steady-state proof).  The bucketed
-        # index returns exactly the block the old linear scan would.
-        best = self._free_blocks.best_fit(size)
-        if best is not None:
-            return self._carve(best, size, owner)
-        # Nothing cached fits: reserve a new segment if capacity allows.
+    def _miss(self, size: int) -> Block:
+        """A fresh segment's free block for a request no cached block fits.
+
+        Gives the ``oom_callback`` one chance to release memory before
+        raising :class:`OutOfMemoryError`.
+        """
+        block = self._reserve(size)
+        if block is None and self.oom_callback is not None:
+            if self.oom_callback(size):
+                block = self._free_blocks.best_fit(size)
+                if block is None:
+                    block = self._reserve(size)
+        if block is None:
+            self.stats.num_oom += 1
+            raise OutOfMemoryError(
+                size, self.bytes_free_cached, self.largest_free_block()
+            )
+        return block
+
+    def _reserve(self, size: int) -> Optional[Block]:
+        """Reserve a segment for ``size`` bytes; its one (free, indexed)
+        block, or None when capacity cannot hold it."""
         seg_size = self._segment_size_for(size)
         if self.stats.bytes_reserved + seg_size > self.capacity:
             # Like the CUDA caching allocator on a failed cudaMalloc:
@@ -421,35 +457,7 @@ class CachingAllocator:
             self.stats.peak_reserved, self.stats.bytes_reserved
         )
         self.stats.num_segments += 1
-        return self._carve(whole, size, owner)
-
-    def _carve(self, block: Block, size: int, owner: str) -> Block:
-        """Serve ``size`` bytes from a free ``block``, splitting if worthwhile."""
-        self._free_blocks.remove(block)
-        remainder = block.size - size
-        if remainder >= MIN_SPLIT_REMAINDER:
-            tail = Block(
-                addr=block.addr + size,
-                size=remainder,
-                segment=block.segment,
-                free=True,
-            )
-            block.size = size
-            tail.prev = block
-            tail.next = block.next
-            if block.next is not None:
-                block.next.prev = tail
-            block.next = tail
-            self._free_blocks.add(tail)
-            self.stats.num_splits += 1
-        block.free = False
-        block.owner = owner
-        self.stats.bytes_in_use += block.size
-        self.stats.peak_in_use = max(
-            self.stats.peak_in_use, self.stats.bytes_in_use
-        )
-        self.stats.num_allocs += 1
-        return block
+        return whole
 
     def _release_empty_segments(self) -> None:
         """Return fully-free segments to the device (cudaFree on OOM path)."""
@@ -481,10 +489,14 @@ class CachingAllocator:
             raise AllocationError(f"double free of block at {block.addr}")
         block.free = True
         block.owner = ""
-        self.stats.bytes_in_use -= block.size
-        self.stats.num_frees += 1
+        stats = self.stats
+        stats.bytes_in_use -= block.size
+        stats.num_frees += 1
         if self.coalescing:
-            block = self._coalesce(block)
+            nxt = block.next
+            prv = block.prev
+            if (nxt is not None and nxt.free) or (prv is not None and prv.free):
+                block = self._coalesce(block)
         self._free_blocks.add(block)
 
     def _coalesce(self, block: Block) -> Block:

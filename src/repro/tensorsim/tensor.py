@@ -20,24 +20,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass(frozen=True, slots=True)
 class TensorSpec:
-    """Shape + dtype of a tensor, independent of whether it is materialized."""
+    """Shape + dtype of a tensor, independent of whether it is materialized.
+
+    ``nbytes`` (storage size in bytes) is derived once at construction:
+    specs are built once per profile trace and read on every allocation.
+    It is not a field of identity — equality, hashing and ``repr`` see
+    only shape and dtype.
+    """
 
     shape: tuple[int, ...]
     dtype: DType = FLOAT32
+    nbytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(d < 0 for d in self.shape):
             raise ValueError(f"negative dimension in shape {self.shape}")
+        object.__setattr__(
+            self, "nbytes", math.prod(self.shape) * self.dtype.itemsize
+        )
 
     @property
     def numel(self) -> int:
         """Number of elements (product of dimensions; 1 for scalars)."""
         return math.prod(self.shape)
-
-    @property
-    def nbytes(self) -> int:
-        """Storage size in bytes."""
-        return self.numel * self.dtype.itemsize
 
     @property
     def ndim(self) -> int:
@@ -51,15 +56,6 @@ class TensorSpec:
         return f"{self.dtype.name}{list(self.shape)}"
 
 
-_TENSOR_COUNTER = 0
-
-
-def _next_tensor_id() -> int:
-    global _TENSOR_COUNTER
-    _TENSOR_COUNTER += 1
-    return _TENSOR_COUNTER
-
-
 @dataclass(slots=True)
 class SimTensor:
     """A (possibly materialized) tensor in simulated device memory.
@@ -69,13 +65,11 @@ class SimTensor:
         name: human-readable label, usually ``<module>.<op>`` from the tape.
         block: allocator block backing the tensor, or ``None`` when the
             tensor has been dropped (checkpointed away) or never allocated.
-        tensor_id: unique id, stable across drop/rematerialize cycles.
     """
 
     spec: TensorSpec
     name: str = ""
     block: Optional["Block"] = None
-    tensor_id: int = field(default_factory=_next_tensor_id)
 
     @property
     def nbytes(self) -> int:
@@ -109,4 +103,4 @@ class SimTensor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "materialized" if self.is_materialized else "dropped"
-        return f"SimTensor({self.name or self.tensor_id}, {self.spec}, {state})"
+        return f"SimTensor({self.name!r}, {self.spec}, {state})"

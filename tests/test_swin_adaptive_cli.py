@@ -263,6 +263,8 @@ def test_cli_run_rejects_bad_fault_spec():
         ("-3", "must be a positive number"),
         ("0", "must be a positive number"),
         ("1", "below the static footprint of bert-base"),
+        ("16.5", "exceeds the simulated V100's 16 GB of device memory"),
+        ("64", "exceeds the simulated V100's 16 GB of device memory"),
     ],
 )
 def test_cli_run_rejects_bad_budget(budget, message):
@@ -276,6 +278,19 @@ def test_cli_run_rejects_bad_budget(budget, message):
             ]
         )
     assert "\n" not in str(exc.value.code)
+
+
+def test_cli_run_accepts_the_whole_device(capsys):
+    from repro.__main__ import main
+
+    code = main(
+        [
+            "run", "--task", "TC-Bert", "--planner", "mimose",
+            "--budget-gb", "16", "--iterations", "2",
+        ]
+    )
+    assert code == 0
+    assert "mimose" in capsys.readouterr().out
 
 
 def test_cli_run_rejects_negative_max_retries(capsys):

@@ -6,10 +6,15 @@ from hypothesis import strategies as st
 
 from repro.tensorsim.allocator import (
     AllocationError,
+    AllocatorStats,
     CachingAllocator,
     DEFAULT_ALIGNMENT,
+    LARGE_ROUND,
+    MEDIUM_REQUEST,
     MEDIUM_SEGMENT,
+    MIN_SPLIT_REMAINDER,
     OutOfMemoryError,
+    SMALL_REQUEST,
     SMALL_SEGMENT,
 )
 
@@ -236,4 +241,129 @@ def test_free_then_realloc_never_grows_reserved(sizes):
     assert alloc.bytes_reserved == reserved_after_first
     for b in second:
         alloc.free(b)
+    alloc.check_consistency()
+
+
+# ---------------------------------------------------------------------------
+# Differential: the indexed allocator against a linear-scan reference model
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceAllocator:
+    """Linear-scan model of the allocator's policy, without any index.
+
+    Segments are ``[base, size, blocks]`` with address-ordered blocks
+    ``[addr, size, free]``.  Best fit scans every free block and breaks
+    size ties toward the lowest address; tails of at least 512 B split
+    off; frees coalesce within the segment only (next neighbours first).
+    """
+
+    def __init__(self, capacity, coalescing):
+        self.capacity, self.coalescing = capacity, coalescing
+        self.segments, self.brk = [], 0
+        self.stats = dict.fromkeys(AllocatorStats().snapshot(), 0)
+
+    def _reserve(self, size):
+        st_ = self.stats
+        seg_size = (
+            SMALL_SEGMENT if size <= SMALL_REQUEST
+            else MEDIUM_SEGMENT if size <= MEDIUM_REQUEST
+            else -(-size // LARGE_ROUND) * LARGE_ROUND
+        )
+        if st_["bytes_reserved"] + seg_size > self.capacity:
+            for seg in [s for s in self.segments if s[2] == [[*s[:2], True]]]:
+                self.segments.remove(seg)
+                st_["bytes_reserved"] -= seg[1]
+                st_["num_segments"] -= 1
+            if st_["bytes_reserved"] + seg_size > self.capacity:
+                seg_size = size  # tight fit
+        if st_["bytes_reserved"] + seg_size > self.capacity:
+            return None
+        self.segments.append([self.brk, seg_size, [[self.brk, seg_size, True]]])
+        self.brk += seg_size
+        st_["bytes_reserved"] += seg_size
+        st_["peak_reserved"] = max(st_["peak_reserved"], st_["bytes_reserved"])
+        st_["num_segments"] += 1
+        return self.segments[-1]
+
+    def malloc(self, nbytes):
+        st_ = self.stats
+        size = -(-max(nbytes, 1) // DEFAULT_ALIGNMENT) * DEFAULT_ALIGNMENT
+        fits = [(b[1], b[0], seg, i) for seg in self.segments
+                for i, b in enumerate(seg[2]) if b[2] and b[1] >= size]
+        if not fits:
+            seg = self._reserve(size)
+            if seg is None:
+                st_["num_oom"] += 1
+                return None
+            fits = [(seg[1], seg[0], seg, 0)]
+        _, _, seg, i = min(fits, key=lambda f: f[:2])
+        block = seg[2][i]
+        if block[1] - size >= MIN_SPLIT_REMAINDER:
+            seg[2].insert(i + 1, [block[0] + size, block[1] - size, True])
+            block[1] = size
+            st_["num_splits"] += 1
+        block[2] = False
+        st_["bytes_in_use"] += block[1]
+        st_["peak_in_use"] = max(st_["peak_in_use"], st_["bytes_in_use"])
+        st_["num_allocs"] += 1
+        return block
+
+    def free(self, block):
+        blocks = next(s[2] for s in self.segments if block in s[2])
+        i = next(k for k, b in enumerate(blocks) if b is block)
+        block[2] = True
+        self.stats["bytes_in_use"] -= block[1]
+        self.stats["num_frees"] += 1
+        while self.coalescing and i + 1 < len(blocks) and blocks[i + 1][2]:
+            blocks[i][1] += blocks.pop(i + 1)[1]
+            self.stats["num_coalesces"] += 1
+        while self.coalescing and i > 0 and blocks[i - 1][2]:
+            blocks[i - 1][1] += blocks.pop(i)[1]
+            self.stats["num_coalesces"] += 1
+            i -= 1
+
+    def state_signature(self):
+        segs = sorted(self.segments)
+        return (
+            self.stats["bytes_in_use"], self.stats["bytes_reserved"],
+            tuple(s[1] for s in segs),
+            tuple(sorted((k, b[0] - s[0], b[1]) for k, s in enumerate(segs)
+                         for b in s[2] if b[2])),
+        )
+
+
+_SIZES = st.one_of(
+    st.integers(min_value=0, max_value=64 * 1024),  # small pool
+    st.integers(min_value=SMALL_REQUEST + 1, max_value=MEDIUM_REQUEST),
+    st.integers(min_value=MEDIUM_REQUEST + 1, max_value=48 * MB),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    coalescing=st.booleans(),
+    ops=st.lists(
+        st.tuples(st.booleans(), _SIZES, st.integers(min_value=0)),
+        min_size=1,
+        max_size=150,
+    ),
+)
+def test_allocator_matches_linear_scan_reference(coalescing, ops):
+    alloc = CachingAllocator(160 * MB, coalescing=coalescing)
+    ref = _ReferenceAllocator(160 * MB, coalescing)
+    live = []
+    for is_alloc, size, pick in ops:
+        if is_alloc or not live:
+            block, model = alloc.try_malloc(size), ref.malloc(size)
+            assert (block is None) == (model is None)
+            if block is not None:
+                assert (block.addr, block.size) == tuple(model[:2])
+                live.append((block, model))
+        else:
+            block, model = live.pop(pick % len(live))
+            alloc.free(block)
+            ref.free(model)
+        assert alloc.stats.snapshot() == ref.stats
+        assert alloc.state_signature() == ref.state_signature()
     alloc.check_consistency()

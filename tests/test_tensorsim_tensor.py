@@ -1,7 +1,11 @@
 """Unit tests for TensorSpec and SimTensor."""
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.experiments.tasks import TASKS, load_task
 from repro.tensorsim.allocator import CachingAllocator
 from repro.tensorsim.dtypes import FLOAT16, FLOAT32, INT64
 from repro.tensorsim.tensor import SimTensor, TensorSpec
@@ -46,10 +50,39 @@ def test_specs_hashable_and_equal():
     assert a != TensorSpec((2, 3), FLOAT16)
 
 
-def test_tensor_ids_unique():
-    t1 = SimTensor(TensorSpec((2,)))
-    t2 = SimTensor(TensorSpec((2,)))
-    assert t1.tensor_id != t2.tensor_id
+def test_nbytes_is_not_part_of_identity():
+    spec = TensorSpec((2, 3), FLOAT16)
+    assert "nbytes" not in repr(spec)
+    assert [f.name for f in dataclasses.fields(spec) if f.compare] == [
+        "shape", "dtype",
+    ]
+    assert hash(spec) == hash(((2, 3), FLOAT16))
+    with pytest.raises(TypeError):
+        TensorSpec((2, 3), FLOAT16, 12)
+
+
+def test_replace_recomputes_nbytes():
+    spec = TensorSpec((2, 3), INT64)
+    grown = dataclasses.replace(spec, shape=(4, 5, 6))
+    assert grown.nbytes == 4 * 5 * 6 * 8
+    assert dataclasses.replace(grown, dtype=FLOAT16).nbytes == 4 * 5 * 6 * 2
+    assert spec.nbytes == 48
+
+
+@pytest.mark.parametrize("abbr", sorted(TASKS))
+def test_nbytes_matches_shape_in_every_task_profile(abbr):
+    task = load_task(abbr, iterations=3, seed=5, calibration_samples=4)
+    model = task.fresh_model()
+    checked = 0
+    for batch in (model.probe_batch(), task.worst_case, *task.loader):
+        specs = [batch.spec]
+        for profile in model.profiles(batch):
+            specs += [profile.input, profile.output]
+            specs += [rec.spec for rec in profile.activations]
+        for spec in specs:
+            assert spec.nbytes == math.prod(spec.shape) * spec.dtype.itemsize
+        checked += len(specs)
+    assert checked > 0
 
 
 def test_materialize_and_drop_cycle():
